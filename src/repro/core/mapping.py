@@ -5,7 +5,7 @@ Wraps an owner table (any int array over the tile grid, usually produced by
 :mod:`repro.core.diagonal`) and precomputes everything the sweep runtime and
 the dHPF-lite communication planner need:
 
-* per-rank tile lists, globally and per slab;
+* per-rank tile lists, globally and (on first use, per axis) per slab;
 * the neighbor successor tables per signed direction (the neighbor property
   guarantees these are single-valued);
 * slab enumeration in sweep order.
@@ -21,6 +21,9 @@ import numpy as np
 from . import properties
 
 __all__ = ["Multipartitioning"]
+
+#: one rank's tiles grouped by slab along an axis (entry s: slab s)
+_Slabs = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -41,6 +44,10 @@ class Multipartitioning:
     )
     _tiles_by_rank: tuple[tuple[tuple[int, ...], ...], ...] = (
         dataclasses.field(init=False, repr=False, compare=False)
+    )
+    #: axis -> per-rank tiles grouped by slab, filled by tiles_of_in_slab
+    _slab_index: dict[int, tuple[_Slabs, ...]] = dataclasses.field(
+        init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -68,6 +75,7 @@ class Multipartitioning:
             "_tiles_by_rank",
             tuple(tuple(ts) for ts in tiles_by_rank),
         )
+        object.__setattr__(self, "_slab_index", {})
 
     # -- basic geometry ----------------------------------------------------
 
@@ -107,10 +115,23 @@ class Multipartitioning:
     def tiles_of_in_slab(
         self, rank: int, axis: int, slab: int
     ) -> tuple[tuple[int, ...], ...]:
-        """Tiles of ``rank`` whose coordinate along ``axis`` equals ``slab``."""
-        return tuple(
-            t for t in self._tiles_by_rank[rank] if t[axis] == slab
-        )
+        """Tiles of ``rank`` whose coordinate along ``axis`` equals ``slab``
+        (lexicographic order), looked up in a per-axis slab index built on
+        first use."""
+        gamma = self.owner.shape[axis]
+        axis %= self.ndim
+        index = self._slab_index.get(axis)
+        if index is None:
+            rows: list[_Slabs] = []
+            for tiles in self._tiles_by_rank:
+                slabs: list[list[tuple[int, ...]]] = [
+                    [] for _ in range(gamma)
+                ]
+                for t in tiles:
+                    slabs[t[axis]].append(t)
+                rows.append(tuple(tuple(ts) for ts in slabs))
+            index = self._slab_index[axis] = tuple(rows)
+        return index[rank][slab] if 0 <= slab < gamma else ()
 
     def slabs(self, axis: int, reverse: bool = False) -> Iterator[int]:
         """Slab indices along ``axis`` in sweep order."""

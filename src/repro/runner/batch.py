@@ -83,7 +83,9 @@ class BatchRunner:
         stats = BatchStats()
         stats.total = len(specs)
         stats.jobs = self.jobs
-        corrupt_before = self.cache.corrupt_reads if self.cache else 0
+        corrupt_before = (
+            self.cache.corrupt_reads if self.cache is not None else 0
+        )
 
         results: list[dict | None] = [None] * len(specs)
         sources: list[str] = [""] * len(specs)
@@ -97,7 +99,9 @@ class BatchRunner:
                 stats.hits += 1
                 continue
             seen.add(key)
-            cached = self.cache.get(spec) if self.cache else None
+            cached = (
+                self.cache.get(spec) if self.cache is not None else None
+            )
             if cached is not None:
                 results[i] = cached
                 sources[i] = "hit"

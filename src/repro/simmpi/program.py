@@ -11,7 +11,8 @@ a placeholder value into every blocking receive.  That is only sound for
 programs whose *control flow* does not depend on received payloads —
 exactly the contract of the executor's skeleton programs
 (:meth:`repro.sweep.multipart.MultipartExecutor.skeleton_rank_program`),
-which derive every decision from tile geometry alone.
+flat generators that read every decision from per-rank tables of tile
+geometry.
 """
 
 from __future__ import annotations

@@ -16,20 +16,23 @@ tests) and the simulator's :class:`RunResult` (virtual time, message and
 byte counts).
 
 **Skeleton mode** (``payload="skeleton"``, or :meth:`MultipartExecutor
-.run_skeleton` directly) replays exactly the same rank programs — identical
-op sequence, message counts, tags, byte counts, phases, and therefore
-virtual clocks/makespan, pinned bit-for-bit by ``tests/sweep/
-test_skeleton.py`` — but sends only declared byte counts
-(:class:`~repro.simmpi.message.Bytes`) and derives per-slab compute times
-from tile geometry instead of touching numpy data.  No scatter, scan, or
-gather happens, which is what lets class-A/B (64^3 / 102^3) problems at
-p <= 64 simulate in seconds: the paper's Table 1 claims are about
-communication structure and timing, none of which needs the payload data.
+.run_skeleton` directly) emits each rank's op stream — sends by tag and
+declared byte count (:class:`~repro.simmpi.message.Bytes`), receives,
+compute charges, phase marks — from per-rank slab tables of exact integers
+built once from tile extents and the owner table.  The modular mapping
+makes every rank run the same per-(op, axis, slab) template over its own
+tiles, so one flat generator walks the schedule and reads the tables.  The
+streams equal real-data mode's rank by rank, and so do clocks and makespan
+(pinned bit-for-bit by ``tests/sweep/test_skeleton.py``).  No scatter,
+scan, or gather happens, which is what lets class B (102^3) simulate up to
+p = 256 in seconds: the paper's Table 1 claims are about communication
+structure and timing, none of which needs the payload data.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from math import prod
 from typing import Generator
 
@@ -39,10 +42,18 @@ from repro.core.mapping import Multipartitioning
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.protocol import ProtocolConfig, ReliableComm
-from repro.simmpi.comm import Comm
+from repro.simmpi.comm import Comm, _check_phase_label
 from repro.simmpi.engine import run_programs
 from repro.simmpi.machine import MachineModel
-from repro.simmpi.message import Bytes
+from repro.simmpi.message import (
+    PHASE_BEGIN,
+    PHASE_END,
+    Bytes,
+    ComputeOp,
+    MarkOp,
+    RecvOp,
+    SendOp,
+)
 from repro.simmpi.trace import RunResult
 
 from .ops import (
@@ -141,6 +152,17 @@ class MultipartExecutor:
         # ops' phase annotations / marks only matter when someone observes
         # them: the in-memory trace or a streaming sink
         self._emit_marks = record_events or bool(self.sinks)
+        # skeleton programs: row-major tile strides, the per-rank tables
+        # (built on first use) and the op parts every rank shares
+        gammas = partitioning.gammas
+        self._strides = tuple(prod(gammas[a + 1:]) for a in range(len(gammas)))
+        self._tables: list | None = None
+        self._compute_op = functools.cache(
+            lambda points, fpp, ntiles: ComputeOp(
+                machine.compute_time(points, fpp, tiles=ntiles), points=points
+            )
+        )
+        self._payload = functools.cache(Bytes)
 
     # -- fault / protocol plumbing --------------------------------------------
 
@@ -160,25 +182,32 @@ class MultipartExecutor:
         yield from comm.finalize()
         return result
 
-    def _injector(self) -> "FaultInjector | None":
-        if self.faults is None:
-            return None
-        return FaultInjector(self.faults, self.partitioning.nprocs)
-
-    @staticmethod
-    def _attach_protocol_stats(
-        result: RunResult, comms: "list[Comm]"
+    def _execute(
+        self, programs: list, comms: "list[Comm] | None"
     ) -> RunResult:
-        """Fold per-rank :class:`ReliableComm` counters into the result."""
-        keys = comms[0].stats  # type: ignore[attr-defined]
-        aggregated = {
-            key: sum(
-                comm.stats[key]  # type: ignore[attr-defined]
-                for comm in comms
-            )
-            for key in keys
-        }
-        return dataclasses.replace(result, protocol_stats=aggregated)
+        """Run the rank programs; under a protocol config each one lingers
+        in :meth:`ReliableComm.finalize` after its last op and the result
+        carries the protocol counters."""
+        if self.protocol is not None:
+            programs = [
+                self._finalized(comm, prog)
+                for comm, prog in zip(comms, programs)
+            ]
+        injector = None
+        if self.faults is not None:
+            injector = FaultInjector(self.faults, self.partitioning.nprocs)
+        result = run_programs(
+            self.machine, programs, record_events=self.record_events,
+            sinks=self.sinks, faults=injector,
+        )
+        if self.protocol is not None:
+            # fold the per-rank ReliableComm counters into the result
+            stats = {
+                key: sum(comm.stats[key] for comm in comms)
+                for key in comms[0].stats
+            }
+            result = dataclasses.replace(result, protocol_stats=stats)
+        return result
 
     # -- public API -----------------------------------------------------------
 
@@ -210,17 +239,7 @@ class MultipartExecutor:
             self._rank_program(comms[rank], per_rank_named[rank], schedule)
             for rank in range(mp.nprocs)
         ]
-        if self.protocol is not None:
-            programs = [
-                self._finalized(comm, prog)
-                for comm, prog in zip(comms, programs)
-            ]
-        result = run_programs(
-            self.machine, programs, record_events=self.record_events,
-            sinks=self.sinks, faults=self._injector(),
-        )
-        if self.protocol is not None:
-            result = self._attach_protocol_stats(result, comms)
+        result = self._execute(programs, comms)
         out = {
             name: self.grid.gather(
                 [per_rank_named[rank][name] for rank in range(mp.nprocs)]
@@ -238,38 +257,138 @@ class MultipartExecutor:
         phase marks — so clocks, makespan, message counts, and byte totals
         match real-data mode bit-for-bit; only the array contents are
         absent."""
-        mp = self.partitioning
-        comms = [self._make_comm(rank) for rank in range(mp.nprocs)]
+        nprocs = self.partitioning.nprocs
         programs = [
-            self._skeleton_program(comms[rank], schedule)
-            for rank in range(mp.nprocs)
+            self.skeleton_rank_program(rank, schedule)
+            for rank in range(nprocs)
         ]
-        if self.protocol is not None:
-            programs = [
-                self._finalized(comm, prog)
-                for comm, prog in zip(comms, programs)
-            ]
-        result = run_programs(
-            self.machine, programs, record_events=self.record_events,
-            sinks=self.sinks, faults=self._injector(),
+        if self.protocol is None:
+            return self._execute(programs, None)
+        comms = [self._make_comm(rank) for rank in range(nprocs)]
+        return self._execute(
+            [self._reliable(c, prog) for c, prog in zip(comms, programs)],
+            comms,
         )
-        if self.protocol is not None:
-            result = self._attach_protocol_stats(result, comms)
-        return result
 
     def skeleton_rank_program(self, rank: int, schedule) -> Generator:
         """One rank's payload-free program as a fresh generator.
 
-        Public entry point for the static verifier
-        (:mod:`repro.verify`): the returned generator yields the identical
-        op sequence the engine would interpret for ``rank`` — same sends
-        (dest, tag, declared bytes), receives, compute charges and phase
-        marks — but can be drained *without* the engine because none of
-        its control flow depends on received payloads (see
+        It yields the primitive ops of :meth:`run`'s rank program for
+        ``rank`` — same sends (dest, tag, declared bytes), receives,
+        compute charges and, when marks are emitted, phase marks — read
+        from the executor's per-rank slab tables instead of numpy blocks.
+        No control flow depends on received payloads, so the static
+        verifier (:mod:`repro.verify`) drains it without the engine (see
         :func:`repro.simmpi.program.record_ops`).
         """
+        points, ntiles, slab_rows, faces = self._rank_tables()[rank]
+        ndim = self.grid.ndim
+        marks = self._emit_marks
+        aggregate = self.aggregate
+        compute = self._compute_op
+        payload = self._payload
+        open_phase: str | None = None
+        for op_index, op in enumerate(schedule):
+            if marks:
+                # consecutive ops sharing a phase annotation share one span
+                phase = getattr(op, "phase", None)
+                if phase != open_phase:
+                    if open_phase is not None:
+                        yield MarkOp(PHASE_END + open_phase)
+                    if phase is not None:
+                        yield MarkOp(PHASE_BEGIN + _check_phase_label(phase))
+                    open_phase = phase
+                yield MarkOp(f"op{op_index}:{op.label()}")
+            if isinstance(op, (SweepOp, BlockSweepOp)):
+                axis = op.axis % ndim
+                up, down = self._neighbors(rank, axis)
+                slabs = slab_rows[axis]
+                send_to, recv_from, shift = up, down, self._strides[axis]
+                if op.reverse:
+                    slabs = slabs[::-1]
+                    send_to, recv_from, shift = down, up, -shift
+                last = len(slabs) - 1
+                tag_base = (op_index + 1) * 100_000
+                fpp = op.flops_per_point
+                for phase, (npoints, count, carry, planes) in enumerate(slabs):
+                    if marks:
+                        yield MarkOp(f"{PHASE_BEGIN}p{phase}")
+                    if phase:
+                        tag = tag_base + phase
+                        if aggregate:
+                            yield RecvOp(recv_from, tag)
+                        else:
+                            for lin, _ in planes:
+                                yield RecvOp(recv_from, tag * 1_000_000 + lin)
+                    yield compute(npoints, fpp, count)
+                    if phase < last and count:
+                        tag = tag_base + phase + 1
+                        if aggregate:
+                            yield SendOp(send_to, payload(carry), tag)
+                        else:
+                            # per-tile carries are tagged by the downstream tile
+                            tag = tag * 1_000_000 + shift
+                            for lin, nbytes in planes:
+                                yield SendOp(send_to, payload(nbytes), tag + lin)
+                    if marks:
+                        yield MarkOp(f"{PHASE_END}p{phase}")
+            elif isinstance(op, StencilOp):
+                reach = op.pad_widths(ndim)
+                tag_base = (op_index + 1) * 100_000 + 50_000
+                # side 0 sends its trailing planes toward +1, side 1 toward -1
+                sides = [
+                    (axis, side, reach[axis][side])
+                    for axis in range(ndim)
+                    if len(slab_rows[axis]) > 1
+                    for side in (0, 1)
+                    if reach[axis][side]
+                ]
+                for axis, side, width in sides:
+                    if faces[axis][side]:
+                        yield SendOp(
+                            self._neighbors(rank, axis)[side],
+                            payload(width * faces[axis][side]),
+                            tag_base + 10 * axis + side,
+                        )
+                # ghosts sent toward `side` arrive from the opposite one
+                for axis, side, _ in sides:
+                    if faces[axis][1 - side]:
+                        yield RecvOp(
+                            self._neighbors(rank, axis)[1 - side],
+                            tag_base + 10 * axis + side,
+                        )
+                yield compute(points, op.flops_per_point, ntiles)
+            elif isinstance(op, (BinaryPointwiseOp, CopyOp, PointwiseOp)):
+                yield compute(points, op.flops_per_point, ntiles)
+            else:
+                raise TypeError(f"unsupported op {op!r}")
+        if marks and open_phase is not None:
+            yield MarkOp(PHASE_END + open_phase)
+        return rank
+
+    @staticmethod
+    def _reliable(comm: "ReliableComm", ops: Generator) -> Generator:
+        """Route a skeleton op stream's sends and receives through the
+        reliable-delivery protocol; compute and mark ops pass through."""
+        for op in ops:
+            cls = op.__class__
+            if cls is SendOp:
+                yield from comm.send(op.payload, op.dest, op.tag)
+            elif cls is RecvOp:
+                yield from comm.recv(op.source, op.tag)
+            else:
+                yield op
+        return comm.rank
+
+    def _neighbors(self, rank: int, axis: int) -> "tuple[int, int]":
+        """The ranks owning the ``+1`` and ``-1`` neighbors along ``axis``
+        of ``rank``'s tiles."""
         mp = self.partitioning
-        return self._skeleton_program(Comm(rank, mp.nprocs), schedule)
+        nbrs = (mp.neighbor_rank(rank, axis, +1),
+                mp.neighbor_rank(rank, axis, -1))
+        if rank in nbrs:  # a rank owning whole lines along ``axis``
+            raise ValueError("self-send is not supported; keep data local")
+        return nbrs
 
     # -- rank program -----------------------------------------------------------
 
@@ -576,179 +695,58 @@ class MultipartExecutor:
             )
         return carries
 
-    # -- skeleton (payload-free) rank program --------------------------------
-    #
-    # Mirrors `_rank_program` op for op: every branch below must yield the
-    # same sends (tag + byte count), receives, compute durations, and marks
-    # as its real-data twin above, with all quantities derived from tile
-    # geometry.  The equivalence tests compare the two modes bit-for-bit;
-    # any edit to the real program needs the matching edit here.
+    # -- skeleton geometry tables ---------------------------------------------
 
-    def _tile_points(self, tile: tuple[int, ...]) -> int:
-        return prod(self.grid.tile_shape(tile))
+    def _rank_tables(self) -> list:
+        """Per-rank ``(points, tiles, slabs, faces)`` tables in exact
+        integers, built on first use from tile extents and owners.
 
-    def _plane_nbytes(self, tile, axis: int, width: int = 1) -> int:
-        """Wire size of ``width`` boundary planes of ``tile`` normal to
-        ``axis`` — the shape of a sweep carry / stencil face."""
-        shape = self.grid.tile_shape(tile)
-        return _ITEMSIZE * width * prod(shape) // shape[axis]
-
-    def _skeleton_program(self, comm: Comm, schedule) -> Generator:
+        ``slabs[axis][s]`` is ``(points, tiles, carry bytes, planes)`` of
+        the rank's tiles in slab ``s``; ``planes`` lists ``(linear tile
+        index, plane bytes)`` per tile, lexicographically (empty when
+        aggregating).  ``faces[axis][side]`` (side 0 is ``+1``, side 1 is
+        ``-1``) is the bytes of one boundary plane of every tile with a
+        neighbor that way, zero when none has one.  Equal entries are
+        stored once.
+        """
+        if self._tables is not None:
+            return self._tables
         mp = self.partitioning
-        my_tiles = sorted(mp.tiles_of(comm.rank))
-        ntiles = len(my_tiles)
-        all_points = sum(self._tile_points(t) for t in my_tiles)
-        open_phase: str | None = None
-        for op_index, op in enumerate(schedule):
-            if self._emit_marks:
-                phase = getattr(op, "phase", None)
-                if phase != open_phase:
-                    if open_phase is not None:
-                        yield from comm.phase_end(open_phase)
-                    if phase is not None:
-                        yield from comm.phase_begin(phase)
-                    open_phase = phase
-                yield from comm.mark(f"op{op_index}:{op.label()}")
-            if isinstance(op, (SweepOp, BlockSweepOp)):
-                yield from self._skeleton_sweep(comm, op, op_index)
-            elif isinstance(op, StencilOp):
-                yield from self._skeleton_stencil(comm, op, op_index)
-            elif isinstance(
-                op, (BinaryPointwiseOp, CopyOp, PointwiseOp)
-            ):
-                yield from comm.compute(
-                    self.machine.compute_time(
-                        all_points, op.flops_per_point, tiles=ntiles
-                    ),
-                    points=all_points,
-                )
-            else:
-                raise TypeError(f"unsupported op {op!r}")
-        if self._emit_marks and open_phase is not None:
-            yield from comm.phase_end(open_phase)
-        return comm.rank
-
-    def _skeleton_sweep(self, comm: Comm, op, op_index: int) -> Generator:
-        mp = self.partitioning
-        axis = op.axis % self.grid.ndim
-        gamma = mp.gammas[axis]
-        send_dir = -1 if op.reverse else +1
-        nbr_send = mp.neighbor_rank(comm.rank, axis, send_dir)
-        nbr_recv = mp.neighbor_rank(comm.rank, axis, -send_dir)
-        slab_order = list(mp.slabs(axis, reverse=op.reverse))
-        tag_base = (op_index + 1) * 100_000
-
-        for phase, slab in enumerate(slab_order):
-            if self._emit_marks:
-                yield from comm.phase_begin(f"p{phase}")
-            my_tiles = mp.tiles_of_in_slab(comm.rank, axis, slab)
-            if phase > 0:
-                yield from self._skeleton_recv_carries(
-                    comm, nbr_recv, my_tiles, tag_base + phase
-                )
-            # outgoing carries keyed by downstream tile, one boundary plane
-            # each — same shapes the real scan would return
-            outgoing: dict[tuple[int, ...], int] = {}
-            points = 0
-            for tile in my_tiles:
-                points += self._tile_points(tile)
-                dest = list(tile)
-                dest[axis] += send_dir
-                if 0 <= dest[axis] < gamma:
-                    outgoing[tuple(dest)] = self._plane_nbytes(tile, axis)
-            yield from comm.compute(
-                self.machine.compute_time(
-                    points, op.flops_per_point, tiles=len(my_tiles)
-                ),
-                points=points,
-            )
-            if phase < len(slab_order) - 1 and outgoing:
-                yield from self._skeleton_send_carries(
-                    comm, nbr_send, outgoing, tag_base + phase + 1
-                )
-            if self._emit_marks:
-                yield from comm.phase_end(f"p{phase}")
-
-    def _skeleton_send_carries(
-        self, comm: Comm, dest: int, outgoing: dict, tag: int
-    ) -> Generator:
-        if dest < 0:
-            raise AssertionError(
-                "outgoing carries with no neighbor rank (gamma==1?)"
-            )
-        if self.aggregate:
-            yield from comm.send(Bytes(sum(outgoing.values())), dest, tag)
-        else:
-            for tile in sorted(outgoing):
-                yield from comm.send(
-                    Bytes(outgoing[tile]),
-                    dest,
-                    tag * 1_000_000 + _tile_linear_index(tile, self.grid.gammas),
-                )
-
-    def _skeleton_recv_carries(
-        self, comm: Comm, source: int, my_tiles, tag: int
-    ) -> Generator:
-        if source < 0:
-            raise AssertionError(
-                "expecting carries but no neighbor rank (gamma==1?)"
-            )
-        if self.aggregate:
-            yield from comm.recv(source, tag)
-            return
-        for tile in sorted(my_tiles):
-            yield from comm.recv(
-                source, tag * 1_000_000 + _tile_linear_index(tile, self.grid.gammas)
-            )
-
-    def _skeleton_stencil(
-        self, comm: Comm, op: StencilOp, op_index: int
-    ) -> Generator:
-        mp = self.partitioning
-        ndim = self.grid.ndim
-        reach = op.pad_widths(ndim)
-        tag_base = (op_index + 1) * 100_000 + 50_000
-        my_tiles = mp.tiles_of(comm.rank)
-
-        # sends: one aggregated face message per (axis, side) with a
-        # downstream neighbor — the byte count the real faces would total
-        for axis in range(ndim):
-            for step, width in ((+1, reach[axis][0]), (-1, reach[axis][1])):
-                if width == 0 or mp.gammas[axis] == 1:
-                    continue
-                dest_rank = mp.neighbor_rank(comm.rank, axis, step)
-                nbytes = sum(
-                    self._plane_nbytes(tile, axis, width)
-                    for tile in my_tiles
-                    if 0 <= tile[axis] + step < mp.gammas[axis]
-                )
-                if nbytes:
-                    yield from comm.send(
-                        Bytes(nbytes),
-                        dest_rank,
-                        tag_base + 10 * axis + (0 if step == 1 else 1),
+        sizes = [self.grid.axis_sizes(axis) for axis in range(mp.ndim)]
+        self._tables = []
+        shared: dict = {}
+        for rank in range(mp.nprocs):
+            tiles = mp.tiles_of(rank)
+            # per axis and slab: [points, tiles, carry bytes, planes]
+            acc = [[[0, 0, 0, []] for _ in size] for size in sizes]
+            for tile in tiles:
+                points = prod(map(tuple.__getitem__, sizes, tile))
+                lin = _tile_linear_index(tile, mp.gammas)
+                for size, slab_acc, slab in zip(sizes, acc, tile):
+                    entry = slab_acc[slab]
+                    plane = _ITEMSIZE * points // size[slab]
+                    entry[0] += points
+                    entry[1] += 1
+                    entry[2] += plane
+                    entry[3].append((lin, plane))
+            slabs = tuple(
+                tuple(
+                    shared.setdefault(row, row) for row in (
+                        (n, count, carry, () if self.aggregate else tuple(pl))
+                        for n, count, carry, pl in slab_acc
                     )
-
-        # receives: same "expecting" guard as the real exchange
-        for axis in range(ndim):
-            for step, width in ((+1, reach[axis][0]), (-1, reach[axis][1])):
-                if width == 0 or mp.gammas[axis] == 1:
-                    continue
-                src_rank = mp.neighbor_rank(comm.rank, axis, -step)
-                expecting = any(
-                    0 <= t[axis] - step < mp.gammas[axis] for t in my_tiles
                 )
-                if not expecting:
-                    continue
-                yield from comm.recv(
-                    src_rank,
-                    tag_base + 10 * axis + (0 if step == 1 else 1),
-                )
-
-        points = sum(self._tile_points(t) for t in my_tiles)
-        yield from comm.compute(
-            self.machine.compute_time(
-                points, op.flops_per_point, tiles=len(my_tiles)
-            ),
-            points=points,
-        )
+                for slab_acc in acc
+            )
+            # the boundary slab on each side has no neighbor that way
+            faces = tuple(
+                (total - rows[-1][2], total - rows[0][2])
+                for rows in slabs
+                for total in [sum(row[2] for row in rows)]
+            )
+            self._tables.append((
+                sum(row[0] for row in slabs[0]), len(tiles),
+                tuple(shared.setdefault(rows, rows) for rows in slabs),
+                tuple(shared.setdefault(face, face) for face in faces),
+            ))
+        return self._tables

@@ -75,6 +75,10 @@ class TileGrid:
             for axis, t in enumerate(tile)
         )
 
+    def axis_sizes(self, axis: int) -> tuple[int, ...]:
+        """Extent along ``axis`` of each tile index along ``axis``."""
+        return tuple(stop - start for start, stop in self._extents[axis])
+
     def tile_span(self, axis: int, index: int) -> tuple[int, int]:
         """(start, stop) of tile ``index`` along ``axis`` in global
         coordinates — used to slice global coefficient vectors."""

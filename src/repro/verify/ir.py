@@ -7,13 +7,14 @@ nothing else: no payloads, no numpy arrays, no generators.  Analyses over
 the IR therefore cannot mutate simulator state, and extracting the IR
 cannot run any computation of the underlying schedule.
 
-Extraction drains each rank's *skeleton* program
-(:meth:`repro.sweep.multipart.MultipartExecutor.skeleton_rank_program`)
-independently through :func:`repro.simmpi.program.record_ops` — the
-skeleton contract (control flow depends only on tile geometry) is what
-makes per-rank, engine-free extraction sound.  The equivalence of skeleton
-and real-data programs is pinned by ``tests/sweep/test_skeleton.py``, so
-verdicts about the IR transfer to the real execution.
+Extraction drains each rank's *skeleton* op stream
+(:meth:`repro.sweep.multipart.MultipartExecutor.skeleton_rank_program`, a
+flat generator over the executor's per-rank slab tables) independently
+through :func:`repro.simmpi.program.record_ops` — the skeleton contract
+(control flow depends only on tile geometry) is what makes per-rank,
+engine-free extraction sound.  ``tests/sweep/test_skeleton.py`` pins every
+rank's skeleton stream to its real-data program's, so verdicts about the
+IR transfer to the real execution.
 """
 
 from __future__ import annotations

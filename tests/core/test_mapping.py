@@ -72,6 +72,15 @@ class TestQueries:
                 assert len(tiles) == 1
                 assert tiles[0][1] == slab
 
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_tiles_of_in_slab_matches_filter(self, mp8, axis):
+        gamma = mp8.gammas[axis]
+        for rank in range(8):
+            for slab in range(-1, gamma + 1):
+                assert mp8.tiles_of_in_slab(rank, axis, slab) == tuple(
+                    t for t in mp8.tiles_of(rank) if t[axis] == slab
+                )
+
     def test_slab_order(self, mp16):
         assert list(mp16.slabs(0)) == [0, 1, 2, 3]
         assert list(mp16.slabs(0, reverse=True)) == [3, 2, 1, 0]

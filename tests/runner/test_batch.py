@@ -55,6 +55,20 @@ class TestCachingSemantics:
         assert runner.last_sources == ["miss", "miss", "dup"]
         assert dumps(results[0]) == dumps(results[2])
 
+    def test_cache_size_never_queried(self, tmp_path):
+        """Sizing a cache lists its directory, so a run must not test the
+        cache's truthiness once per spec."""
+
+        class UnsizedCache(ResultCache):
+            def __len__(self):
+                raise AssertionError("BatchRunner.run called len(cache)")
+
+        runner = BatchRunner(cache=UnsizedCache(tmp_path))
+        fresh = runner.run(SPECS)
+        replay = runner.run(SPECS)
+        assert runner.last_stats.hits == len(SPECS)
+        assert dumps(fresh) == dumps(replay)
+
     def test_corrupted_entry_reruns(self, tmp_path):
         cache = ResultCache(tmp_path)
         runner = BatchRunner(cache=cache)

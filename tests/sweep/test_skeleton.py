@@ -31,9 +31,9 @@ def _plan(app, shape, p):
     return plan_multipartitioning(shape, p, MACHINE.to_cost_model())
 
 
-def _problem(app, shape):
+def _problem(app, shape, steps=1):
     cls = {"sp": SPProblem, "bt": BTProblem, "adi": ADIProblem}[app]
-    return cls(shape, steps=1)
+    return cls(shape, steps=steps)
 
 
 def _run_both(app, shape, p, aggregate=True, schedule=None, arrays=None):
@@ -108,6 +108,94 @@ class TestBitIdenticalEquivalence:
         assert RunSummary.from_result(real_res) == RunSummary.from_result(
             skel_res
         )
+
+
+def _streams(result):
+    """Each rank's event sequence: (kind, peer, tag, nbytes, compute
+    seconds, phase path, detail)."""
+    streams = [[] for _ in result.clocks]
+    for ev in result.trace.events:
+        seconds = ev.end - ev.start if ev.kind == "compute" else 0.0
+        streams[ev.rank].append(
+            (ev.kind, ev.peer, ev.tag, ev.nbytes, seconds, ev.phase,
+             ev.detail)
+        )
+    return streams
+
+
+def _run_traced(app, shape, p, aggregate=True, steps=1, two_array=False,
+                **kw):
+    """Real-data and skeleton runs of one config with every event
+    recorded."""
+    prob = _problem(app, shape, steps)
+    if two_array:
+        schedule = prob.schedule_two_array()
+        data = {"u": random_field(shape), "rhs": random_field(shape)}
+    else:
+        schedule = prob.schedule()
+        data = random_field(prob.field_shape)
+    partitioning = _plan(app, shape, p).partitioning
+    results = []
+    for payload in ("data", "skeleton"):
+        executor = MultipartExecutor(
+            partitioning, prob.field_shape, MACHINE, aggregate=aggregate,
+            record_events=True, payload=payload, **kw,
+        )
+        results.append(executor.run(data, schedule)[1])
+    return results
+
+
+class TestRankStreams:
+    """Per-rank event streams, not just run totals, are identical: the
+    skeleton emitter and the real-data program emit the same ops."""
+
+    @pytest.mark.parametrize("aggregate", [True, False])
+    @pytest.mark.parametrize("p", [1, 2, 4, 6, 9])
+    @pytest.mark.parametrize("app", ["sp", "bt", "adi"])
+    def test_ragged_shape(self, app, p, aggregate):
+        real, skel = _run_traced(app, (10, 13, 11), p, aggregate=aggregate)
+        assert _streams(real) == _streams(skel)
+        assert real.returns == skel.returns
+
+    @pytest.mark.parametrize("aggregate", [True, False])
+    @pytest.mark.parametrize("p", [4, 9])
+    def test_stencil_two_array(self, p, aggregate):
+        real, skel = _run_traced(
+            "sp", (12, 9, 10), p, aggregate=aggregate, two_array=True
+        )
+        assert _streams(real) == _streams(skel)
+
+    def test_multi_step(self):
+        real, skel = _run_traced("sp", (10, 13, 11), 6, steps=2)
+        assert _streams(real) == _streams(skel)
+
+    def test_zero_rate_protocol_run_equals_clean_run(self):
+        """Under the reliable-delivery protocol with a zero-rate fault
+        plan, skeleton and real streams still agree, and the protocol
+        carries exactly the clean run's messages, each acked once."""
+        from repro.faults import ProtocolConfig, ZERO_FAULTS
+
+        clean, _ = _run_traced("sp", (10, 13, 11), 6)
+        real, skel = _run_traced(
+            "sp", (10, 13, 11), 6, faults=ZERO_FAULTS,
+            protocol=ProtocolConfig(),
+        )
+        assert _streams(real) == _streams(skel)
+        assert real.protocol_stats == skel.protocol_stats
+        stats = skel.protocol_stats
+        assert stats["data_sent"] == stats["acks"] == clean.message_count
+        assert stats["retransmits"] == stats["timeouts"] == 0
+
+        def local(result):
+            # (kind, phase, detail): the clocks differ under the
+            # protocol, so durations are compared through the points
+            return [
+                [(ev[0], ev[5], ev[6]) for ev in stream
+                 if ev[0] in ("compute", "mark")]
+                for stream in _streams(result)
+            ]
+
+        assert local(skel) == local(clean)
 
 
 class TestAnalyticCrossCheck:

@@ -48,6 +48,22 @@ class TestTileGrid:
         assert grid.tile_shape((1, 3)) == (5, 2)
         assert grid.tile_span(0, 1) == (5, 10)
 
+    @pytest.mark.parametrize(
+        "shape, gammas",
+        [((10, 7, 9), (4, 3, 2)), ((102, 102, 102), (16, 16, 16)),
+         ((5, 11), (5, 4))],
+    )
+    def test_axis_sizes_match_tile_shape(self, shape, gammas):
+        grid = TileGrid(shape, gammas)
+        sizes = [grid.axis_sizes(axis) for axis in range(grid.ndim)]
+        for axis, gamma in enumerate(gammas):
+            assert len(sizes[axis]) == gamma
+            assert sum(sizes[axis]) == shape[axis]
+        for tile in grid.tile_coords():
+            assert grid.tile_shape(tile) == tuple(
+                sizes[axis][t] for axis, t in enumerate(tile)
+            )
+
     def test_uneven_tiles(self):
         grid = TileGrid((7, 7), (2, 3))
         shapes = [grid.tile_shape(t) for t in grid.tile_coords()]
