@@ -34,6 +34,7 @@ from .ops import (
     SweepOp,
     scan_op,
 )
+from .halo import apply_star, face_copy
 from .slabops import as_named, local_slab_op, unwrap_named
 from .tiles import axis_extents
 
@@ -222,8 +223,7 @@ class BlockGridExecutor:
         """Halo exchange across both partitioned axes, one after the other
         (star stencil: axis fills are independent)."""
         r, c = self._coords(comm.rank)
-        ndim = block.ndim
-        reach = op.pad_widths(ndim)
+        reach = op.pad_widths(block.ndim)
         tag_base = (op_index + 1) * 100_000 + 50_000
 
         ghosts: dict[tuple[int, int], np.ndarray] = {}
@@ -232,7 +232,6 @@ class BlockGridExecutor:
             (1, (c, self.grid[1], r)),
         ):
             lo_w, hi_w = reach[axis]
-            n = block.shape[axis]
 
             def nbr(p_: int) -> int:
                 return (
@@ -241,19 +240,14 @@ class BlockGridExecutor:
                     )
                 )
 
-            def face(index: slice) -> np.ndarray:
-                sel: list = [slice(None)] * ndim
-                sel[axis] = index
-                return np.array(block[tuple(sel)], copy=True)
-
             if lo_w and pos + 1 < length:
                 yield from comm.send(
-                    face(slice(n - lo_w, n)), nbr(pos + 1),
+                    face_copy(block, axis, 0, lo_w), nbr(pos + 1),
                     tag_base + 10 * axis,
                 )
             if hi_w and pos - 1 >= 0:
                 yield from comm.send(
-                    face(slice(0, hi_w)), nbr(pos - 1),
+                    face_copy(block, axis, 1, hi_w), nbr(pos - 1),
                     tag_base + 10 * axis + 1,
                 )
             if lo_w and pos - 1 >= 0:
@@ -265,26 +259,7 @@ class BlockGridExecutor:
                     nbr(pos + 1), tag_base + 10 * axis + 1
                 )
 
-        padded = np.pad(block, reach, mode="constant")
-        core = tuple(
-            slice(lo, lo + s) for s, (lo, _) in zip(block.shape, reach)
-        )
-        for (axis, side), ghost in ghosts.items():
-            lo_w, hi_w = reach[axis]
-            sel = list(core)
-            sel[axis] = (
-                slice(0, lo_w)
-                if side == 0
-                else slice(
-                    lo_w + block.shape[axis],
-                    lo_w + block.shape[axis] + hi_w,
-                )
-            )
-            padded[tuple(sel)] = ghost
-        result = op.fn(padded)
-        if result.shape != block.shape:
-            raise ValueError(f"{op.name} must return the core shape")
-        (out if out is not None else block)[...] = result
+        apply_star(op, block, reach, ghosts, block if out is None else out)
         yield from comm.compute(
             self.machine.compute_time(
                 block.size, op.flops_per_point, tiles=1

@@ -1,4 +1,4 @@
-"""Distributed line sweeps over a multipartitioned array (real-data mode).
+"""Distributed line sweeps over a multipartitioned array.
 
 Each simulated rank owns the tiles its :class:`Multipartitioning` assigns it.
 A sweep along axis ``i`` proceeds slab by slab: every rank computes the scan
@@ -10,29 +10,35 @@ the communication-vectorization the dHPF compiler performs (Section 5).
 Setting ``aggregate=False`` sends one message per tile instead (the ablation
 of that optimization).
 
-The executor runs any :mod:`repro.sweep.ops` schedule and returns both the
-reassembled global array (verified against the sequential reference in the
-tests) and the simulator's :class:`RunResult` (virtual time, message and
-byte counts).
+**One rank program, two payload modes.**  The modular mapping makes every
+rank run the same per-(op, axis, slab) template over its own tiles, so each
+rank's program is one flat generator over per-rank slab tables of exact
+integers, built once from tile extents and the owner table.  The tables
+alone decide the op stream: sends by tag and declared byte count,
+receives, compute charges and phase marks.  The payload mode decides only
+what the messages hold:
 
-**Skeleton mode** (``payload="skeleton"``, or :meth:`MultipartExecutor
-.run_skeleton` directly) emits each rank's op stream — sends by tag and
-declared byte count (:class:`~repro.simmpi.message.Bytes`), receives,
-compute charges, phase marks — from per-rank slab tables of exact integers
-built once from tile extents and the owner table.  The modular mapping
-makes every rank run the same per-(op, axis, slab) template over its own
-tiles, so one flat generator walks the schedule and reads the tables.  The
-streams equal real-data mode's rank by rank, and so do clocks and makespan
-(pinned bit-for-bit by ``tests/sweep/test_skeleton.py``).  No scatter,
-scan, or gather happens, which is what lets class B (102^3) simulate up to
-p = 256 in seconds: the paper's Table 1 claims are about communication
-structure and timing, none of which needs the payload data.
+* real-data mode (``payload="data"``, :meth:`MultipartExecutor.run`)
+  scatters numpy tiles, scans them slab by slab, ships boundary planes and
+  halo faces, and reassembles the global array (verified against the
+  sequential reference in the tests);
+* skeleton mode (``payload="skeleton"``, :meth:`MultipartExecutor
+  .run_skeleton`) sends :class:`~repro.simmpi.message.Bytes` tokens of the
+  same sizes and runs no scatter, scan or gather, which is what lets class
+  B (102^3) simulate up to p = 256 in seconds: the paper's Table 1 claims
+  are about communication structure and timing, none of which needs the
+  payload data.
+
+Both return the simulator's :class:`RunResult` (virtual time, message and
+byte counts), bit-identical across the modes; ``tests/sweep/test_skeleton.py``
+pins the per-rank event streams equal.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+from itertools import repeat
 from math import prod
 from typing import Generator
 
@@ -42,7 +48,7 @@ from repro.core.mapping import Multipartitioning
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.faults.protocol import ProtocolConfig, ReliableComm
-from repro.simmpi.comm import Comm, _check_phase_label
+from repro.simmpi.comm import _check_phase_label
 from repro.simmpi.engine import run_programs
 from repro.simmpi.machine import MachineModel
 from repro.simmpi.message import (
@@ -56,6 +62,7 @@ from repro.simmpi.message import (
 )
 from repro.simmpi.trace import RunResult
 
+from .halo import apply_star, face_copy
 from .ops import (
     BinaryPointwiseOp,
     BlockSweepOp,
@@ -65,6 +72,7 @@ from .ops import (
     SweepOp,
     scan_op,
 )
+from .slabops import apply_local
 from .tiles import TileGrid
 
 __all__ = ["MultipartExecutor"]
@@ -80,34 +88,28 @@ def _tile_linear_index(tile: tuple[int, ...], gammas: tuple[int, ...]) -> int:
     return idx
 
 
-class _CarryPayload:
-    """Aggregated sweep carries: tile coords + their boundary planes.
-
-    Declares a *structural* wire size — the plane buffers only, matching
-    what an MPI implementation would put on the wire for the vectorized
-    carry message (coords are tiny metadata) and what skeleton mode can
-    recompute from tile geometry alone."""
-
-    __slots__ = ("coords", "planes", "nbytes")
-
-    def __init__(self, coords, planes):
-        self.coords = coords
-        self.planes = planes
-        self.nbytes = sum(p.nbytes for p in planes)
+def _facing(tiles, axis: int, side: int, gamma: int) -> list:
+    """The ``tiles`` with a neighbor toward ``side`` of ``axis`` (side 0
+    is ``+1``, side 1 is ``-1``), in their given order."""
+    edge = gamma - 1 if side == 0 else 0
+    return [tile for tile in tiles if tile[axis] != edge]
 
 
-class _FacePayload:
-    """Aggregated stencil halo faces: (dest tile, face array) pairs, with
-    the same structural wire-size convention as :class:`_CarryPayload`."""
+class _Planes(list):
+    """The boundary planes (sweep carries or halo faces) one rank sends
+    another in one message, in the lexicographic order of the sender's
+    tiles.  By the neighbor property the receiving tiles are the sending
+    ones shifted by one along the axis, so they come in the same order.
 
-    __slots__ = ("items", "nbytes")
+    Declares a *structural* wire size — the plane buffers only, what an
+    MPI implementation would put on the wire for the vectorized message
+    and what skeleton mode recomputes from tile geometry alone."""
 
-    def __init__(self, items):
-        self.items = items
-        self.nbytes = sum(face.nbytes for _, face in items)
+    __slots__ = ("nbytes",)
 
-    def __iter__(self):
-        return iter(self.items)
+    def __init__(self, planes: list):
+        super().__init__(planes)
+        self.nbytes = sum(plane.nbytes for plane in planes)
 
 
 class MultipartExecutor:
@@ -152,7 +154,7 @@ class MultipartExecutor:
         # ops' phase annotations / marks only matter when someone observes
         # them: the in-memory trace or a streaming sink
         self._emit_marks = record_events or bool(self.sinks)
-        # skeleton programs: row-major tile strides, the per-rank tables
+        # rank programs: row-major tile strides, the per-rank tables
         # (built on first use) and the op parts every rank shares
         gammas = partitioning.gammas
         self._strides = tuple(prod(gammas[a + 1:]) for a in range(len(gammas)))
@@ -163,51 +165,6 @@ class MultipartExecutor:
             )
         )
         self._payload = functools.cache(Bytes)
-
-    # -- fault / protocol plumbing --------------------------------------------
-
-    def _make_comm(self, rank: int) -> Comm:
-        """Plain communicator, or the reliable-delivery wrapper when a
-        protocol config is attached."""
-        nprocs = self.partitioning.nprocs
-        if self.protocol is not None:
-            return ReliableComm(rank, nprocs, self.protocol)
-        return Comm(rank, nprocs)
-
-    @staticmethod
-    def _finalized(comm: "ReliableComm", inner: Generator) -> Generator:
-        """Run ``inner``, then linger re-acking stray retransmissions until
-        every rank is done (see :meth:`ReliableComm.finalize`)."""
-        result = yield from inner
-        yield from comm.finalize()
-        return result
-
-    def _execute(
-        self, programs: list, comms: "list[Comm] | None"
-    ) -> RunResult:
-        """Run the rank programs; under a protocol config each one lingers
-        in :meth:`ReliableComm.finalize` after its last op and the result
-        carries the protocol counters."""
-        if self.protocol is not None:
-            programs = [
-                self._finalized(comm, prog)
-                for comm, prog in zip(comms, programs)
-            ]
-        injector = None
-        if self.faults is not None:
-            injector = FaultInjector(self.faults, self.partitioning.nprocs)
-        result = run_programs(
-            self.machine, programs, record_events=self.record_events,
-            sinks=self.sinks, faults=injector,
-        )
-        if self.protocol is not None:
-            # fold the per-rank ReliableComm counters into the result
-            stats = {
-                key: sum(comm.stats[key] for comm in comms)
-                for key in comms[0].stats
-            }
-            result = dataclasses.replace(result, protocol_stats=stats)
-        return result
 
     # -- public API -----------------------------------------------------------
 
@@ -226,24 +183,15 @@ class MultipartExecutor:
         single = not isinstance(arrays, dict)
         named = {"u": arrays} if single else arrays
         mp = self.partitioning
-        per_rank_named: list[dict] = [
-            {} for _ in range(mp.nprocs)
-        ]
+        per_rank: list[dict] = [{} for _ in range(mp.nprocs)]
         for name, array in named.items():
             array = np.asarray(array, dtype=np.float64)
             scattered = self.grid.scatter(array, mp.owner, mp.nprocs)
-            for rank in range(mp.nprocs):
-                per_rank_named[rank][name] = scattered[rank]
-        comms = [self._make_comm(rank) for rank in range(mp.nprocs)]
-        programs = [
-            self._rank_program(comms[rank], per_rank_named[rank], schedule)
-            for rank in range(mp.nprocs)
-        ]
-        result = self._execute(programs, comms)
+            for rank_arrays, blocks in zip(per_rank, scattered):
+                rank_arrays[name] = blocks
+        result = self._execute(schedule, per_rank)
         out = {
-            name: self.grid.gather(
-                [per_rank_named[rank][name] for rank in range(mp.nprocs)]
-            )
+            name: self.grid.gather([blocks[name] for blocks in per_rank])
             for name in named
         }
         return (out["u"] if single else out), result
@@ -252,34 +200,113 @@ class MultipartExecutor:
         """Execute ``schedule`` payload-free and return the
         :class:`~repro.simmpi.trace.RunResult` only.
 
-        The rank programs yield the identical op sequence as :meth:`run` —
-        same sends (by tag and byte count), receives, compute durations and
-        phase marks — so clocks, makespan, message counts, and byte totals
-        match real-data mode bit-for-bit; only the array contents are
-        absent."""
-        nprocs = self.partitioning.nprocs
-        programs = [
-            self.skeleton_rank_program(rank, schedule)
-            for rank in range(nprocs)
-        ]
-        if self.protocol is None:
-            return self._execute(programs, None)
-        comms = [self._make_comm(rank) for rank in range(nprocs)]
-        return self._execute(
-            [self._reliable(c, prog) for c, prog in zip(comms, programs)],
-            comms,
-        )
+        The rank programs are :meth:`run`'s, with byte-count tokens for
+        payloads — same sends (by tag and byte count), receives, compute
+        durations and phase marks — so clocks, makespan, message counts,
+        and byte totals match real-data mode bit-for-bit; only the array
+        contents are absent."""
+        return self._execute(schedule, None)
 
     def skeleton_rank_program(self, rank: int, schedule) -> Generator:
         """One rank's payload-free program as a fresh generator.
 
         It yields the primitive ops of :meth:`run`'s rank program for
         ``rank`` — same sends (dest, tag, declared bytes), receives,
-        compute charges and, when marks are emitted, phase marks — read
-        from the executor's per-rank slab tables instead of numpy blocks.
-        No control flow depends on received payloads, so the static
-        verifier (:mod:`repro.verify`) drains it without the engine (see
+        compute charges and, when marks are emitted, phase marks.  No
+        control flow depends on received payloads, so the static verifier
+        (:mod:`repro.verify`) drains it without the engine (see
         :func:`repro.simmpi.program.record_ops`).
+        """
+        return self._program(rank, schedule, None)
+
+    # -- execution ------------------------------------------------------------
+
+    def _execute(self, schedule, arrays: "list[dict] | None") -> RunResult:
+        """Run every rank's program (``arrays[rank]`` holds its blocks;
+        ``None`` runs payload-free).  Under a protocol config the sends and
+        receives go through :meth:`_reliable` and the result carries the
+        protocol counters."""
+        nprocs = self.partitioning.nprocs
+        programs = [
+            self._program(
+                rank, schedule, None if arrays is None else arrays[rank]
+            )
+            for rank in range(nprocs)
+        ]
+        comms = None
+        if self.protocol is not None:
+            comms = [
+                ReliableComm(rank, nprocs, self.protocol)
+                for rank in range(nprocs)
+            ]
+            programs = [
+                self._reliable(comm, prog)
+                for comm, prog in zip(comms, programs)
+            ]
+        injector = None
+        if self.faults is not None:
+            injector = FaultInjector(self.faults, nprocs)
+        result = run_programs(
+            self.machine, programs, record_events=self.record_events,
+            sinks=self.sinks, faults=injector,
+        )
+        if comms is not None:
+            # fold the per-rank ReliableComm counters into the result
+            stats = {
+                key: sum(comm.stats[key] for comm in comms)
+                for key in comms[0].stats
+            }
+            result = dataclasses.replace(result, protocol_stats=stats)
+        return result
+
+    @staticmethod
+    def _reliable(comm: ReliableComm, ops: Generator) -> Generator:
+        """Route a rank program's sends and receives through the
+        reliable-delivery protocol and hand each received payload back to
+        the program; compute and mark ops pass through.  After the last op
+        the rank lingers re-acking stray retransmissions until every rank
+        is done (see :meth:`ReliableComm.finalize`)."""
+        send = ops.send
+        value = None
+        while True:
+            try:
+                op = send(value)
+            except StopIteration as stop:
+                result = stop.value
+                break
+            cls = op.__class__
+            if cls is SendOp:
+                value = yield from comm.send(op.payload, op.dest, op.tag)
+            elif cls is RecvOp:
+                value = yield from comm.recv(op.source, op.tag)
+            else:
+                value = yield op
+        yield from comm.finalize()
+        return result
+
+    def _neighbors(self, rank: int, axis: int) -> "tuple[int, int]":
+        """The ranks owning the ``+1`` and ``-1`` neighbors along ``axis``
+        of ``rank``'s tiles."""
+        mp = self.partitioning
+        nbrs = (mp.neighbor_rank(rank, axis, +1),
+                mp.neighbor_rank(rank, axis, -1))
+        if rank in nbrs:  # a rank owning whole lines along ``axis``
+            raise ValueError("self-send is not supported; keep data local")
+        return nbrs
+
+    # -- rank program ---------------------------------------------------------
+
+    def _program(
+        self, rank: int, schedule, arrays: "dict | None"
+    ) -> Generator:
+        """Rank ``rank``'s program for ``schedule`` as a fresh generator.
+
+        Which ops it yields, in what order, is read from the rank's slab
+        tables alone.  ``arrays`` maps each array name to the rank's
+        ``{tile: block}`` in real-data mode and is ``None`` in skeleton
+        mode; it decides only what goes into a payload and whether numpy
+        runs: sweep slabs scan the rank's tiles in the slab, stencils ship
+        faces and apply ghosts, and the local ops update blocks in place.
         """
         points, ntiles, slab_rows, faces = self._rank_tables()[rank]
         ndim = self.grid.ndim
@@ -287,10 +314,20 @@ class MultipartExecutor:
         aggregate = self.aggregate
         compute = self._compute_op
         payload = self._payload
+        data = arrays is not None
+        mp = self.partitioning
+        tiles = mp.tiles_of(rank)
+
+        def blocks_of(name: str) -> dict:
+            if name not in arrays:
+                raise KeyError(f"schedule references unknown array {name!r}")
+            return arrays[name]
+
         open_phase: str | None = None
         for op_index, op in enumerate(schedule):
             if marks:
                 # consecutive ops sharing a phase annotation share one span
+                # (e.g. the four sweeps of SP's x_solve)
                 phase = getattr(op, "phase", None)
                 if phase != open_phase:
                     if open_phase is not None:
@@ -310,32 +347,63 @@ class MultipartExecutor:
                 last = len(slabs) - 1
                 tag_base = (op_index + 1) * 100_000
                 fpp = op.flops_per_point
+                if data:
+                    blocks = blocks_of(op.array)
+                    n_axis = self.grid.shape[axis]
+                carries = None
                 for phase, (npoints, count, carry, planes) in enumerate(slabs):
                     if marks:
+                        # nested span: the paper's per-sweep pipeline phases
+                        # ("x_solve/p2"), one per slab on every rank
                         yield MarkOp(f"{PHASE_BEGIN}p{phase}")
                     if phase:
                         tag = tag_base + phase
                         if aggregate:
-                            yield RecvOp(recv_from, tag)
+                            carries = yield RecvOp(recv_from, tag)
                         else:
+                            # per-tile carries line up with the planes rows
+                            carries = []
                             for lin, _ in planes:
-                                yield RecvOp(recv_from, tag * 1_000_000 + lin)
+                                carries.append((yield RecvOp(
+                                    recv_from, tag * 1_000_000 + lin
+                                )))
+                    if data:
+                        # scan the rank's tiles of the slab; their outgoing
+                        # planes are the carries this phase sends on
+                        slab = last - phase if op.reverse else phase
+                        lo, hi = self.grid.tile_span(axis, slab)
+                        carries = [
+                            scan_op(blocks[tile], op, lo, hi, n_axis, carry_in)
+                            for tile, carry_in in zip(
+                                mp.tiles_of_in_slab(rank, axis, slab),
+                                carries or repeat(None),
+                            )
+                        ]
                     yield compute(npoints, fpp, count)
                     if phase < last and count:
                         tag = tag_base + phase + 1
                         if aggregate:
-                            yield SendOp(send_to, payload(carry), tag)
+                            yield SendOp(
+                                send_to,
+                                _Planes(carries) if data else payload(carry),
+                                tag,
+                            )
                         else:
-                            # per-tile carries are tagged by the downstream tile
+                            # per-tile tags name the downstream tile
                             tag = tag * 1_000_000 + shift
-                            for lin, nbytes in planes:
-                                yield SendOp(send_to, payload(nbytes), tag + lin)
+                            for row, (lin, nbytes) in enumerate(planes):
+                                yield SendOp(
+                                    send_to,
+                                    carries[row] if data else payload(nbytes),
+                                    tag + lin,
+                                )
                     if marks:
                         yield MarkOp(f"{PHASE_END}p{phase}")
             elif isinstance(op, StencilOp):
                 reach = op.pad_widths(ndim)
                 tag_base = (op_index + 1) * 100_000 + 50_000
-                # side 0 sends its trailing planes toward +1, side 1 toward -1
+                # side 0 sends its trailing planes toward +1, side 1 its
+                # leading planes toward -1
                 sides = [
                     (axis, side, reach[axis][side])
                     for axis in range(ndim)
@@ -343,22 +411,53 @@ class MultipartExecutor:
                     for side in (0, 1)
                     if reach[axis][side]
                 ]
+                if data:
+                    blocks = blocks_of(op.array)
+                    out_blocks = blocks_of(op.out_array or op.array)
+                    ghosts: dict = {tile: {} for tile in tiles}
                 for axis, side, width in sides:
                     if faces[axis][side]:
+                        if data:
+                            message = _Planes([
+                                face_copy(blocks[tile], axis, side, width)
+                                for tile in _facing(
+                                    tiles, axis, side, mp.gammas[axis]
+                                )
+                            ])
+                        else:
+                            message = payload(width * faces[axis][side])
                         yield SendOp(
                             self._neighbors(rank, axis)[side],
-                            payload(width * faces[axis][side]),
+                            message,
                             tag_base + 10 * axis + side,
                         )
-                # ghosts sent toward `side` arrive from the opposite one
+                # ghosts sent toward `side` arrive from the opposite one and
+                # land on the tiles with a neighbor that way
                 for axis, side, _ in sides:
                     if faces[axis][1 - side]:
-                        yield RecvOp(
+                        got = yield RecvOp(
                             self._neighbors(rank, axis)[1 - side],
                             tag_base + 10 * axis + side,
                         )
+                        if data:
+                            receivers = _facing(
+                                tiles, axis, 1 - side, mp.gammas[axis]
+                            )
+                            for tile, face in zip(receivers, got):
+                                ghosts[tile][(axis, side)] = face
+                if data:
+                    for tile in tiles:
+                        apply_star(
+                            op, blocks[tile], reach, ghosts[tile],
+                            out_blocks[tile],
+                        )
                 yield compute(points, op.flops_per_point, ntiles)
             elif isinstance(op, (BinaryPointwiseOp, CopyOp, PointwiseOp)):
+                if data:
+                    for tile in tiles:
+                        apply_local(
+                            op, lambda name, tile=tile: blocks_of(name)[tile]
+                        )
                 yield compute(points, op.flops_per_point, ntiles)
             else:
                 raise TypeError(f"unsupported op {op!r}")
@@ -366,336 +465,7 @@ class MultipartExecutor:
             yield MarkOp(PHASE_END + open_phase)
         return rank
 
-    @staticmethod
-    def _reliable(comm: "ReliableComm", ops: Generator) -> Generator:
-        """Route a skeleton op stream's sends and receives through the
-        reliable-delivery protocol; compute and mark ops pass through."""
-        for op in ops:
-            cls = op.__class__
-            if cls is SendOp:
-                yield from comm.send(op.payload, op.dest, op.tag)
-            elif cls is RecvOp:
-                yield from comm.recv(op.source, op.tag)
-            else:
-                yield op
-        return comm.rank
-
-    def _neighbors(self, rank: int, axis: int) -> "tuple[int, int]":
-        """The ranks owning the ``+1`` and ``-1`` neighbors along ``axis``
-        of ``rank``'s tiles."""
-        mp = self.partitioning
-        nbrs = (mp.neighbor_rank(rank, axis, +1),
-                mp.neighbor_rank(rank, axis, -1))
-        if rank in nbrs:  # a rank owning whole lines along ``axis``
-            raise ValueError("self-send is not supported; keep data local")
-        return nbrs
-
-    # -- rank program -----------------------------------------------------------
-
-    def _rank_program(
-        self,
-        comm: Comm,
-        arrays: "dict[str, dict[tuple[int, ...], np.ndarray]]",
-        schedule,
-    ) -> Generator:
-        def blocks_of(name: str):
-            if name not in arrays:
-                raise KeyError(
-                    f"schedule references unknown array {name!r}"
-                )
-            return arrays[name]
-
-        open_phase: str | None = None
-        for op_index, op in enumerate(schedule):
-            if self._emit_marks:
-                # consecutive ops sharing a phase annotation share one span
-                # (e.g. the four sweeps of SP's x_solve)
-                phase = getattr(op, "phase", None)
-                if phase != open_phase:
-                    if open_phase is not None:
-                        yield from comm.phase_end(open_phase)
-                    if phase is not None:
-                        yield from comm.phase_begin(phase)
-                    open_phase = phase
-                yield from comm.mark(f"op{op_index}:{op.label()}")
-            if isinstance(op, (SweepOp, BlockSweepOp)):
-                yield from self._sweep(
-                    comm, blocks_of(op.array), op, op_index
-                )
-            elif isinstance(op, StencilOp):
-                yield from self._stencil(
-                    comm,
-                    blocks_of(op.array),
-                    op,
-                    op_index,
-                    out_blocks=blocks_of(op.out_array or op.array),
-                )
-            elif isinstance(op, BinaryPointwiseOp):
-                target = blocks_of(op.target)
-                source = blocks_of(op.source)
-                points = 0
-                for tile, block in target.items():
-                    result = op.fn(block, source[tile])
-                    if result.shape != block.shape:
-                        raise ValueError(
-                            f"{op.name} changed a tile's shape"
-                        )
-                    block[...] = result
-                    points += block.size
-                yield from comm.compute(
-                    self.machine.compute_time(
-                        points, op.flops_per_point, tiles=len(target)
-                    ),
-                    points=points,
-                )
-            elif isinstance(op, CopyOp):
-                src = blocks_of(op.src)
-                dst = blocks_of(op.dst)
-                points = 0
-                for tile, block in dst.items():
-                    block[...] = src[tile]
-                    points += block.size
-                yield from comm.compute(
-                    self.machine.compute_time(
-                        points, op.flops_per_point, tiles=len(dst)
-                    ),
-                    points=points,
-                )
-            elif isinstance(op, PointwiseOp):
-                yield from self._pointwise(comm, blocks_of(op.array), op)
-            else:
-                raise TypeError(f"unsupported op {op!r}")
-        if self._emit_marks and open_phase is not None:
-            yield from comm.phase_end(open_phase)
-        return comm.rank
-
-    def _pointwise(self, comm: Comm, blocks, op: PointwiseOp) -> Generator:
-        points = 0
-        for tile, block in blocks.items():
-            result = op.fn(block)
-            if result.shape != block.shape:
-                raise ValueError(f"{op.name} changed a tile's shape")
-            # in-place update so scatter/gather aliasing stays intact
-            block[...] = result
-            points += block.size
-        yield from comm.compute(
-            self.machine.compute_time(
-                points, op.flops_per_point, tiles=len(blocks)
-            ),
-            points=points,
-        )
-
-    def _sweep(
-        self, comm: Comm, blocks, op: SweepOp, op_index: int
-    ) -> Generator:
-        mp = self.partitioning
-        axis = op.axis % self.grid.ndim
-        gamma = mp.gammas[axis]
-        n_axis = self.grid.shape[axis]
-        send_dir = -1 if op.reverse else +1
-        nbr_send = mp.neighbor_rank(comm.rank, axis, send_dir)
-        nbr_recv = mp.neighbor_rank(comm.rank, axis, -send_dir)
-        slab_order = list(mp.slabs(axis, reverse=op.reverse))
-        tag_base = (op_index + 1) * 100_000
-
-        carries: dict[tuple[int, ...], np.ndarray] = {}
-        for phase, slab in enumerate(slab_order):
-            if self._emit_marks:
-                # nested span: the paper's per-sweep pipeline phases
-                # ("x_solve/p2") — every rank participates in every one
-                # (balance property), which the phase profile verifies
-                yield from comm.phase_begin(f"p{phase}")
-            my_tiles = mp.tiles_of_in_slab(comm.rank, axis, slab)
-            if phase > 0:
-                carries = yield from self._recv_carries(
-                    comm, nbr_recv, my_tiles, tag_base + phase
-                )
-            outgoing: dict[tuple[int, ...], np.ndarray] = {}
-            points = 0
-            for tile in my_tiles:
-                block = blocks[tile]
-                lo, hi = self.grid.tile_span(axis, slab)
-                carry_in = carries.get(tile)
-                carry_out = scan_op(
-                    block, op, lo, hi, n_axis, carry=carry_in
-                )
-                points += block.size
-                dest = list(tile)
-                dest[axis] += send_dir
-                if 0 <= dest[axis] < gamma:
-                    outgoing[tuple(dest)] = carry_out
-            yield from comm.compute(
-                self.machine.compute_time(
-                    points, op.flops_per_point, tiles=len(my_tiles)
-                ),
-                points=points,
-            )
-            if phase < len(slab_order) - 1 and outgoing:
-                yield from self._send_carries(
-                    comm, nbr_send, outgoing, tag_base + phase + 1
-                )
-            if self._emit_marks:
-                yield from comm.phase_end(f"p{phase}")
-        # sanity: every rank participates in every phase (balance property)
-
-    def _stencil(
-        self,
-        comm: Comm,
-        blocks,
-        op: StencilOp,
-        op_index: int,
-        out_blocks=None,
-    ) -> Generator:
-        """Star-stencil update with halo exchange (shadow-region fill).
-
-        One aggregated message per (rank, axis, side) — the communication
-        pattern the dHPF shadow/vectorization analysis plans.  Ghosts beyond
-        the global boundary stay zero; padding corners stay zero (the star
-        contract).
-        """
-        mp = self.partitioning
-        ndim = self.grid.ndim
-        reach = op.pad_widths(ndim)
-        tag_base = (op_index + 1) * 100_000 + 50_000
-
-        # -- send faces (eager, never blocks) -------------------------------
-        # Ghosts on the `step=-1` side of a tile come from the previous
-        # tile's trailing planes (sent in the +1 direction), and vice versa.
-        for axis in range(ndim):
-            for step, width in ((+1, reach[axis][0]), (-1, reach[axis][1])):
-                if width == 0 or mp.gammas[axis] == 1:
-                    continue
-                dest_rank = mp.neighbor_rank(comm.rank, axis, step)
-                outgoing = []
-                for tile in mp.tiles_of(comm.rank):
-                    dest = list(tile)
-                    dest[axis] += step
-                    if not 0 <= dest[axis] < mp.gammas[axis]:
-                        continue
-                    block = blocks[tile]
-                    sel = [slice(None)] * ndim
-                    n = block.shape[axis]
-                    sel[axis] = (
-                        slice(n - width, n) if step == 1 else slice(0, width)
-                    )
-                    # copy=True, NOT ascontiguousarray: a leading-axis slice
-                    # is already contiguous and would alias the block, which
-                    # the receiver must not see post-update
-                    outgoing.append(
-                        (tuple(dest), np.array(block[tuple(sel)], copy=True))
-                    )
-                if outgoing:
-                    yield from comm.send(
-                        _FacePayload(outgoing),
-                        dest_rank,
-                        tag_base + 10 * axis + (0 if step == 1 else 1),
-                    )
-
-        # -- receive ghosts ---------------------------------------------------
-        # ghosts[tile][(axis, side)] -> face array; side 0 = low, 1 = high
-        ghosts: dict[tuple[int, ...], dict[tuple[int, int], np.ndarray]] = {
-            tile: {} for tile in mp.tiles_of(comm.rank)
-        }
-        for axis in range(ndim):
-            for step, width, side in (
-                (+1, reach[axis][0], 0),
-                (-1, reach[axis][1], 1),
-            ):
-                if width == 0 or mp.gammas[axis] == 1:
-                    continue
-                src_rank = mp.neighbor_rank(comm.rank, axis, -step)
-                expecting = any(
-                    0 <= t[axis] - step < mp.gammas[axis]
-                    for t in mp.tiles_of(comm.rank)
-                )
-                if not expecting:
-                    continue
-                payload = yield from comm.recv(
-                    src_rank,
-                    tag_base + 10 * axis + (0 if step == 1 else 1),
-                )
-                for tile, face in payload:
-                    ghosts[tile][(axis, side)] = face
-
-        # -- apply --------------------------------------------------------------
-        points = 0
-        for tile in mp.tiles_of(comm.rank):
-            block = blocks[tile]
-            padded = np.zeros(
-                tuple(
-                    s + lo + hi
-                    for s, (lo, hi) in zip(block.shape, reach)
-                ),
-                dtype=block.dtype,
-            )
-            core = tuple(
-                slice(lo, lo + s) for s, (lo, _) in zip(block.shape, reach)
-            )
-            padded[core] = block
-            for (axis, side), face in ghosts[tile].items():
-                lo, hi = reach[axis]
-                sel = list(core)
-                sel[axis] = (
-                    slice(0, lo)
-                    if side == 0
-                    else slice(lo + block.shape[axis], lo + block.shape[axis] + hi)
-                )
-                padded[tuple(sel)] = face
-            result = op.fn(padded)
-            if result.shape != block.shape:
-                raise ValueError(
-                    f"{op.name} must return the core shape {block.shape}"
-                )
-            (out_blocks if out_blocks is not None else blocks)[tile][
-                ...
-            ] = result
-            points += block.size
-        yield from comm.compute(
-            self.machine.compute_time(
-                points, op.flops_per_point, tiles=len(blocks)
-            ),
-            points=points,
-        )
-
-    def _send_carries(
-        self, comm: Comm, dest: int, outgoing, tag: int
-    ) -> Generator:
-        if dest < 0:
-            raise AssertionError(
-                "outgoing carries with no neighbor rank (gamma==1?)"
-            )
-        if self.aggregate:
-            # one vectorized message carrying every tile's boundary plane
-            items = sorted(outgoing.items())
-            coords = tuple(t for t, _ in items)
-            planes = [p for _, p in items]
-            yield from comm.send(_CarryPayload(coords, planes), dest, tag)
-        else:
-            for tile in sorted(outgoing):
-                yield from comm.send(
-                    outgoing[tile],
-                    dest,
-                    tag * 1_000_000 + _tile_linear_index(tile, self.grid.gammas),
-                )
-
-    def _recv_carries(
-        self, comm: Comm, source: int, my_tiles, tag: int
-    ) -> Generator:
-        if source < 0:
-            raise AssertionError(
-                "expecting carries but no neighbor rank (gamma==1?)"
-            )
-        if self.aggregate:
-            payload = yield from comm.recv(source, tag)
-            return dict(zip(payload.coords, payload.planes))
-        carries = {}
-        for tile in sorted(my_tiles):
-            carries[tile] = yield from comm.recv(
-                source, tag * 1_000_000 + _tile_linear_index(tile, self.grid.gammas)
-            )
-        return carries
-
-    # -- skeleton geometry tables ---------------------------------------------
+    # -- slab tables ----------------------------------------------------------
 
     def _rank_tables(self) -> list:
         """Per-rank ``(points, tiles, slabs, faces)`` tables in exact

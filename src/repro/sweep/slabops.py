@@ -1,5 +1,6 @@
-"""Shared op dispatch for slab-based executors (wavefront, transpose,
-block-grid): the communication-free ops applied to whole local slabs."""
+"""Shared dispatch of the communication-free ops: :func:`apply_local` updates
+one rank's aligned blocks (a whole slab in the wavefront, transpose and
+block-grid executors, one tile at a time in the multipartitioned one)."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from repro.simmpi.machine import MachineModel
 
 from .ops import BinaryPointwiseOp, CopyOp, PointwiseOp
 
-__all__ = ["local_slab_op", "as_named", "unwrap_named"]
+__all__ = ["apply_local", "local_slab_op", "as_named", "unwrap_named"]
 
 
 def as_named(arrays) -> tuple[bool, dict]:
@@ -29,34 +30,41 @@ def unwrap_named(single: bool, named: dict):
     return named["u"] if single else named
 
 
+def apply_local(op, get: Callable[[str], np.ndarray]) -> int:
+    """Apply a communication-free op (pointwise / binary / copy) in place
+    to the aligned blocks ``get(name)`` returns; returns the points
+    updated."""
+    if isinstance(op, CopyOp):
+        dst = get(op.dst)
+        dst[...] = get(op.src)
+        return dst.size
+    if isinstance(op, PointwiseOp):
+        target = get(op.array)
+        result = op.fn(target)
+    elif isinstance(op, BinaryPointwiseOp):
+        target = get(op.target)
+        result = op.fn(target, get(op.source))
+    else:
+        raise TypeError(f"not a local op: {op!r}")
+    if result.shape != target.shape:
+        raise ValueError(
+            f"{op.name} changed a block's shape {target.shape} -> "
+            f"{result.shape}"
+        )
+    # in place: the block ``get`` returned is the one the caller gathers
+    target[...] = result
+    return target.size
+
+
 def local_slab_op(
     comm: Comm,
     op,
     get: Callable[[str], np.ndarray],
     machine: MachineModel,
 ) -> Generator:
-    """Apply a communication-free op (pointwise / binary / copy) to this
-    rank's slabs; ``get(name)`` returns the local slab of an array."""
-    if isinstance(op, PointwiseOp):
-        slab = get(op.array)
-        result = op.fn(slab)
-        if result.shape != slab.shape:
-            raise ValueError(f"{op.name} changed the slab's shape")
-        slab[...] = result
-        size = slab.size
-    elif isinstance(op, BinaryPointwiseOp):
-        target = get(op.target)
-        result = op.fn(target, get(op.source))
-        if result.shape != target.shape:
-            raise ValueError(f"{op.name} changed the slab's shape")
-        target[...] = result
-        size = target.size
-    elif isinstance(op, CopyOp):
-        dst = get(op.dst)
-        dst[...] = get(op.src)
-        size = dst.size
-    else:
-        raise TypeError(f"not a local slab op: {op!r}")
+    """Apply a communication-free op to this rank's slabs and charge its
+    compute; ``get(name)`` returns the local slab of an array."""
+    size = apply_local(op, get)
     yield from comm.compute(
         machine.compute_time(size, op.flops_per_point, tiles=1),
         points=size,

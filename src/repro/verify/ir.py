@@ -8,13 +8,13 @@ the IR therefore cannot mutate simulator state, and extracting the IR
 cannot run any computation of the underlying schedule.
 
 Extraction drains each rank's *skeleton* op stream
-(:meth:`repro.sweep.multipart.MultipartExecutor.skeleton_rank_program`, a
-flat generator over the executor's per-rank slab tables) independently
-through :func:`repro.simmpi.program.record_ops` — the skeleton contract
-(control flow depends only on tile geometry) is what makes per-rank,
-engine-free extraction sound.  ``tests/sweep/test_skeleton.py`` pins every
-rank's skeleton stream to its real-data program's, so verdicts about the
-IR transfer to the real execution.
+(:meth:`repro.sweep.multipart.MultipartExecutor.skeleton_rank_program`)
+independently through :func:`repro.simmpi.program.record_ops`.  That is
+the one rank program real-data runs execute too, a flat generator over the
+executor's per-rank slab tables, with payloads left out.  Its control flow
+depends only on tile geometry, which is what makes per-rank, engine-free
+extraction sound; ``tests/sweep/test_skeleton.py`` pins the two modes'
+streams equal, so verdicts about the IR transfer to the real execution.
 """
 
 from __future__ import annotations

@@ -183,11 +183,21 @@ class TestRunSpecFaults:
         assert runner.last_sources == ["miss"]
 
     def test_simulated_mode_carries_faults_too(self):
-        result = run_spec(
-            ExperimentSpec(
-                shape=(8, 8, 8), p=2, mode="simulated",
-                faults={"drop_rate": 0.05},
-            )
+        """Real payloads survive drops and duplicates: the protocol
+        repairs every loss, the answer is the clean run's, and the run is
+        the skeleton run event for event."""
+        shape, faults = (10, 13, 11), {
+            "drop_rate": 0.1, "dup_rate": 0.05, "jitter": 1e-5, "seed": 3,
+        }
+        lossy = run_spec(
+            ExperimentSpec(shape=shape, p=6, mode="simulated", faults=faults)
         )
-        assert "error" not in result
-        assert result["summary"]["faults"]["dropped"] >= 0
+        clean = run_spec(ExperimentSpec(shape=shape, p=6, mode="simulated"))
+        skeleton = run_spec(
+            ExperimentSpec(shape=shape, p=6, mode="skeleton", faults=faults)
+        )
+        assert "error" not in lossy
+        assert lossy["summary"]["faults"]["dropped"] > 0
+        assert lossy["summary"]["protocol"]["retransmits"] > 0
+        assert lossy["max_abs_error"] == clean["max_abs_error"]
+        assert lossy["summary"] == skeleton["summary"]

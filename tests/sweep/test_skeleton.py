@@ -169,15 +169,16 @@ class TestRankStreams:
         real, skel = _run_traced("sp", (10, 13, 11), 6, steps=2)
         assert _streams(real) == _streams(skel)
 
-    def test_zero_rate_protocol_run_equals_clean_run(self):
+    @pytest.mark.parametrize("aggregate", [True, False])
+    def test_zero_rate_protocol_run_equals_clean_run(self, aggregate):
         """Under the reliable-delivery protocol with a zero-rate fault
         plan, skeleton and real streams still agree, and the protocol
         carries exactly the clean run's messages, each acked once."""
         from repro.faults import ProtocolConfig, ZERO_FAULTS
 
-        clean, _ = _run_traced("sp", (10, 13, 11), 6)
+        clean, _ = _run_traced("sp", (10, 13, 11), 6, aggregate=aggregate)
         real, skel = _run_traced(
-            "sp", (10, 13, 11), 6, faults=ZERO_FAULTS,
+            "sp", (10, 13, 11), 6, aggregate=aggregate, faults=ZERO_FAULTS,
             protocol=ProtocolConfig(),
         )
         assert _streams(real) == _streams(skel)
