@@ -1,12 +1,13 @@
 """Compiling a :class:`~repro.faults.plan.FaultPlan` into injection hooks.
 
 The engine consults a :class:`FaultInjector` at delivery-scheduling time
-(:meth:`~repro.simmpi.engine.Engine._do_send`) and at rank start-up (for
-straggler factors and pause intervals).  Every decision is a pure function
-of ``(seed, channel, coordinates)`` through a splitmix64-style integer
-hash — no RNG objects, no hidden state — so the injected fault pattern is
-structurally deterministic: it cannot depend on scheduling order, host,
-or process count, only on which messages the program actually sends.
+(each send in :meth:`~repro.simmpi.engine.Engine._advance`) and at rank
+start-up (for straggler factors and pause intervals).  Every decision is a
+pure function of ``(seed, channel, coordinates)`` through a
+splitmix64-style integer hash — no RNG objects, no hidden state — so the
+injected fault pattern is structurally deterministic: it cannot depend on
+scheduling order, host, or process count, only on which messages the
+program actually sends.
 """
 
 from __future__ import annotations
@@ -44,6 +45,28 @@ def unit_hash(*parts: int) -> float:
     return _mix(*parts) / 2.0**64
 
 
+def _mix4(x: int, a: int, b: int, c: int, d: int) -> int:
+    """:func:`_mix` continued from state ``x`` over four more parts,
+    unrolled: ``_mix4(_mix(*head), a, b, c, d) == _mix(*head, a, b, c,
+    d)``."""
+    x = (x + (a & _MASK) + _GAMMA) & _MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    x ^= x >> 31
+    x = (x + (b & _MASK) + _GAMMA) & _MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    x ^= x >> 31
+    x = (x + (c & _MASK) + _GAMMA) & _MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    x ^= x >> 31
+    x = (x + (d & _MASK) + _GAMMA) & _MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x ^ (x >> 31)
+
+
 class FaultInjector:
     """Per-run decision oracle compiled from a :class:`FaultPlan`.
 
@@ -53,7 +76,10 @@ class FaultInjector:
     an independent fate, exactly like a real lossy link.
     """
 
-    __slots__ = ("plan", "nprocs", "_seed", "_link_factors")
+    __slots__ = (
+        "plan", "nprocs", "_seed", "_link_factors",
+        "_drop_state", "_dup_state", "_jitter_state",
+    )
 
     def __init__(self, plan: FaultPlan, nprocs: int):
         if nprocs < 1:
@@ -61,6 +87,12 @@ class FaultInjector:
         self.plan = plan
         self.nprocs = nprocs
         self._seed = plan.seed
+        # splitmix state after the shared ``(seed, channel)`` prefix of each
+        # per-message stream; a decision continues from it over
+        # ``(src, dst, tag, seq)`` with `_mix4`
+        self._drop_state = _mix(self._seed, _CH_DROP)
+        self._dup_state = _mix(self._seed, _CH_DUP)
+        self._jitter_state = _mix(self._seed, _CH_JITTER)
         # per-directed-link degradation factors, precomputed (p**2 entries)
         factors: dict[int, float] = {}
         if plan.slow_link_rate > 0.0:
@@ -80,20 +112,22 @@ class FaultInjector:
     def drop(self, src: int, dst: int, tag: int, seq: int) -> bool:
         rate = self.plan.drop_rate
         return rate > 0.0 and (
-            unit_hash(self._seed, _CH_DROP, src, dst, tag, seq) < rate
+            _mix4(self._drop_state, src, dst, tag, seq) / 2.0**64 < rate
         )
 
     def duplicate(self, src: int, dst: int, tag: int, seq: int) -> bool:
         rate = self.plan.dup_rate
         return rate > 0.0 and (
-            unit_hash(self._seed, _CH_DUP, src, dst, tag, seq) < rate
+            _mix4(self._dup_state, src, dst, tag, seq) / 2.0**64 < rate
         )
 
     def extra_delay(self, src: int, dst: int, tag: int, seq: int) -> float:
         jitter = self.plan.jitter
         if jitter == 0.0:
             return 0.0
-        return jitter * unit_hash(self._seed, _CH_JITTER, src, dst, tag, seq)
+        return jitter * (
+            _mix4(self._jitter_state, src, dst, tag, seq) / 2.0**64
+        )
 
     def link_factor(self, src: int, dst: int) -> float:
         return self._link_factors.get(src * self.nprocs + dst, 1.0)

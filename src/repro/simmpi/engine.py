@@ -6,6 +6,25 @@ then switches to another runnable rank.  Determinism: ranks are always
 scanned in rank order, messages match in FIFO order per (source, dest, tag),
 and all time is virtual.
 
+The per-message path
+--------------------
+
+* **One interpreter, one handler per op class.**  :meth:`Engine._advance`
+  is the only op interpreter.  It handles ``SendOp`` and ``ComputeOp``
+  inline, with the rank clock in a local; ``RecvOp`` goes through
+  :meth:`Engine._try_recv`, the single receive matcher that the wake path
+  drives too, and ``MarkOp`` through :meth:`Engine._do_mark`.  Fault
+  injection, the bus channel, pauses and tracing are guarded blocks inside
+  those handlers, so a clean untraced run skips them with one test each.
+* **One mailbox per destination.**  Undelivered messages wait in FIFO
+  queues keyed ``(source, tag)``; each message is in exactly one queue and
+  carries an engine-global send-order stamp (``Message.order``).  A
+  specific receive pops the head of its queue.  An ``ANY_TAG`` receive
+  takes the earliest-*sent* head among the source's queues; an
+  ``ANY_SOURCE`` receive then takes the earliest-*arriving* of the
+  sources' candidates, ties to the lowest source.  Either way the match is
+  a queue head, so no receive searches inside a queue.
+
 Timing semantics (see :class:`~repro.simmpi.machine.MachineModel`):
 
 * ``SendOp`` — sender clock advances by ``send_cpu_time``; the message's
@@ -77,6 +96,11 @@ __all__ = ["SimDeadlockError", "Engine", "run_programs"]
 RankProgram = Callable[..., Generator]
 
 
+#: the primitive op classes, in the order a subclass instance is matched
+_OP_BASES = (SendOp, RecvOp, ComputeOp, MarkOp)
+_OP_CLASSES = frozenset(_OP_BASES)
+
+
 class SimDeadlockError(RuntimeError):
     """All unfinished ranks are blocked on receives that can never match."""
 
@@ -95,6 +119,14 @@ def _deadlock_message(blocked: list[tuple[int, RecvOp]]) -> str:
         f"deadlock: {len(blocked)} rank(s) blocked on unmatched "
         f"receives: {descriptions}"
     )
+
+
+def _base_op_class(rank: int, op: object) -> type:
+    """The primitive op class of an instance of a subclass of one."""
+    for base in _OP_BASES:
+        if isinstance(op, base):
+            return base
+    raise TypeError(f"rank {rank} yielded unsupported op {op!r}")
 
 
 class _RankState:
@@ -140,19 +172,19 @@ class Engine:
         # null-emit fast path: with no in-memory trace and no sinks, no
         # TraceEvent can ever be observed, so none is constructed
         self._fast = not record_events and not self.sinks
-        # per-destination FIFO queues of undelivered messages, keyed
-        # (source, tag), plus per-destination arrival order per source for
-        # ANY_TAG matching — indexing by dest first avoids building a
-        # 3-tuple key per send/recv on the hot path
+        # one mailbox per destination: FIFO queues of undelivered messages
+        # keyed (source, tag).  A message sits in exactly one queue; every
+        # receive pops a queue head, and wildcard receives choose among the
+        # heads by the messages' send-order stamps (`Message.order`).
+        # Indexing by dest first avoids building a 3-tuple key per
+        # send/recv on the hot path.
         self._inbox: list[dict[tuple[int, int], deque[Message]]] = [
-            defaultdict(deque) for _ in range(nprocs)
-        ]
-        self._arrivals: list[dict[int, deque[Message]]] = [
             defaultdict(deque) for _ in range(nprocs)
         ]
         self._bus_free_at = 0.0
         self._bus = machine.network is NetworkScaling.BUS
-        # bound-method caches for the per-op timing calls
+        # bound-method caches for the per-op timing calls (bound again as
+        # locals by `_advance`)
         self._send_cpu_time = machine.send_cpu_time
         self._recv_cpu_time = machine.recv_cpu_time
         self._transfer_time = machine.transfer_time
@@ -189,7 +221,9 @@ class Engine:
             self._pauses = None
             self._fault_counts = None
         # aggregate accounting, maintained on both the traced and the
-        # null-emit paths (engine-owned; folded into `trace` at run end)
+        # null-emit paths (engine-owned; folded into `trace` at run end).
+        # The message count doubles as the send-order stamp: a wire message
+        # is stamped with the count of messages sent before it.
         self._msg_count = 0
         self._total_bytes = 0
         self._compute_s = [0.0] * nprocs
@@ -226,151 +260,35 @@ class Engine:
             return shifted
         return t
 
-    def _do_send(self, rank: int, state: _RankState, op: SendOp) -> None:
-        dest = op.dest
-        if not 0 <= dest < self.nprocs:
-            raise ValueError(f"rank {rank}: send to invalid dest {dest}")
-        nbytes = payload_nbytes(op.payload)
-        start = state.clock
-        faults = self._faults
-        seq = 0
-        if faults is not None:
-            if self._pauses is not None:
-                start = self._pause_shift(rank, start)
-            key = rank * self.nprocs + dest
-            seq = self._seq.get(key, 0)
-            self._seq[key] = seq + 1
-        clock = start + self._send_cpu_time(nbytes)
-        state.clock = clock
-        self._comm_s[rank] += clock - start
-        wire_start = clock
-        if self._bus and self._bus_free_at > wire_start:
-            wire_start = self._bus_free_at
-        transfer = self._transfer_time(nbytes, src=rank, dst=dest)
-        dropped = False
-        duplicated = False
-        if faults is not None:
-            counts = self._fault_counts
-            factor = faults.link_factor(rank, dest)
-            if factor != 1.0:
-                transfer *= factor
-                counts["link_slowed"] += 1  # type: ignore[index]
-            delay = faults.extra_delay(rank, dest, op.tag, seq)
-            if delay != 0.0:
-                transfer += delay
-                counts["delayed"] += 1  # type: ignore[index]
-            dropped = faults.drop(rank, dest, op.tag, seq)
-            duplicated = not dropped and faults.duplicate(
-                rank, dest, op.tag, seq
-            )
-        arrives = wire_start + transfer
-        if self._bus:
-            self._bus_free_at = arrives
-        if dropped:
-            # the message was transmitted and lost: the sender paid its CPU
-            # and (on a bus) the wire occupancy, but nothing is delivered
-            self._fault_counts["dropped"] += 1  # type: ignore[index]
-        else:
-            msg = Message(
-                source=rank,
-                dest=dest,
-                tag=op.tag,
-                payload=op.payload,
-                nbytes=nbytes,
-                sent_at=clock,
-                arrives_at=arrives,
-                seq=seq,
-            )
-            self._inbox[dest][(rank, op.tag)].append(msg)
-            self._arrivals[dest][rank].append(msg)
-            ws = self._waiting_src[dest]
-            if ws == rank or ws == ANY_SOURCE:
-                self._dirty.append(dest)
-        self._msg_count += 1
-        self._total_bytes += nbytes
-        if not self._fast:
-            self._emit(
-                TraceEvent(
-                    rank=rank,
-                    kind="send",
-                    start=start,
-                    end=clock,
-                    detail=f"->{dest} tag={op.tag}"
-                    + (" dropped" if dropped else ""),
-                    nbytes=nbytes,
-                    peer=dest,
-                    tag=op.tag,
-                    arrival=arrives,
-                    phase=state.phase_path,
-                )
-            )
-        if duplicated:
-            # an in-network duplicate: same bytes delivered a second time,
-            # one wire latency later (deterministic spacing)
-            dup = Message(
-                source=rank,
-                dest=dest,
-                tag=op.tag,
-                payload=op.payload,
-                nbytes=nbytes,
-                sent_at=clock,
-                arrives_at=arrives + self.machine.latency,
-                seq=seq,
-            )
-            self._inbox[dest][(rank, op.tag)].append(dup)
-            self._arrivals[dest][rank].append(dup)
-            ws = self._waiting_src[dest]
-            if ws == rank or ws == ANY_SOURCE:
-                self._dirty.append(dest)
-            self._fault_counts["duplicated"] += 1  # type: ignore[index]
-            self._msg_count += 1
-            self._total_bytes += nbytes
-            if not self._fast:
-                # a second send event keeps FIFO send<->recv pairing intact
-                # for trace consumers (obs.critical matches per channel)
-                self._emit(
-                    TraceEvent(
-                        rank=rank,
-                        kind="send",
-                        start=clock,
-                        end=clock,
-                        detail=f"->{dest} tag={op.tag} dup",
-                        nbytes=nbytes,
-                        peer=dest,
-                        tag=op.tag,
-                        arrival=dup.arrives_at,
-                        phase=state.phase_path,
-                    )
-                )
+    def _match_wildcard(self, rank: int, op: RecvOp) -> Message | None:
+        """The queue head a wildcard receive matches, or None.
 
-    def _peek_any_source(self, rank: int, tag: int) -> Message | None:
-        """Earliest-arriving deliverable message from any source (ties by
-        lowest source rank); per-source FIFO order is still respected —
-        only each source's head message is a candidate."""
+        :data:`ANY_TAG` takes each candidate source's earliest-*sent*
+        message (least ``order`` among that source's queue heads);
+        :data:`ANY_SOURCE` then takes the earliest-*arriving* of the
+        candidates, ties to the lowest source.  Either way the match is the
+        head of its ``(source, tag)`` queue, so per-channel FIFO holds."""
+        source, tag = op.source, op.tag
+        if source != ANY_SOURCE and not 0 <= source < self.nprocs:
+            raise ValueError(
+                f"rank {rank}: recv from invalid source {source}"
+            )
+        heads: dict[int, Message] = {}
+        for (src, t), q in self._inbox[rank].items():
+            if not q or (tag != ANY_TAG and t != tag) or (
+                source != ANY_SOURCE and src != source
+            ):
+                continue
+            head = q[0]
+            seen = heads.get(src)
+            if seen is None or head.order < seen.order:
+                heads[src] = head
         best: Message | None = None
-        if tag == ANY_TAG:
-            for src in sorted(self._arrivals[rank]):
-                q = self._arrivals[rank][src]
-                if not q:
-                    continue
-                head = q[0]
-                if best is None or (
-                    (head.arrives_at, head.source)
-                    < (best.arrives_at, best.source)
-                ):
-                    best = head
-        else:
-            inbox = self._inbox[rank]
-            for src in sorted(self._arrivals[rank]):
-                q = inbox.get((src, tag))
-                if not q:
-                    continue
-                head = q[0]
-                if best is None or (
-                    (head.arrives_at, head.source)
-                    < (best.arrives_at, best.source)
-                ):
-                    best = head
+        for head in heads.values():
+            if best is None or (head.arrives_at, head.source) < (
+                best.arrives_at, best.source
+            ):
+                best = head
         return best
 
     def _try_recv(self, rank: int, state: _RankState, op: RecvOp) -> bool:
@@ -384,38 +302,20 @@ class Engine:
         sender, so expiry must wait until no rank can make progress.
         """
         source = op.source
-        if source == ANY_SOURCE:
-            msg = self._peek_any_source(rank, op.tag)
-            if msg is None:
-                return False
-            if op.timeout >= 0 and msg.arrives_at > state.clock + op.timeout:
-                return False
-            if op.tag == ANY_TAG:
-                self._arrivals[rank][msg.source].popleft()
-                self._inbox[rank][(msg.source, msg.tag)].remove(msg)
-            else:
-                self._inbox[rank][(msg.source, msg.tag)].popleft()
-                self._arrivals[rank][msg.source].remove(msg)
-        elif not 0 <= source < self.nprocs:
-            raise ValueError(
-                f"rank {rank}: recv from invalid source {source}"
-            )
-        elif op.tag == ANY_TAG:
-            seq = self._arrivals[rank][source]
-            if not seq:
-                return False
-            if op.timeout >= 0 and seq[0].arrives_at > state.clock + op.timeout:
-                return False
-            msg = seq.popleft()
-            self._inbox[rank][(source, msg.tag)].remove(msg)
-        else:
-            q = self._inbox[rank][(source, op.tag)]
+        tag = op.tag
+        if tag != ANY_TAG and 0 <= source < self.nprocs:
+            q = self._inbox[rank][(source, tag)]
             if not q:
                 return False
-            if op.timeout >= 0 and q[0].arrives_at > state.clock + op.timeout:
+            msg = q[0]
+        else:
+            msg = self._match_wildcard(rank, op)
+            if msg is None:
                 return False
-            msg = q.popleft()
-            self._arrivals[rank][source].remove(msg)
+            q = self._inbox[rank][(msg.source, msg.tag)]
+        if op.timeout >= 0 and msg.arrives_at > state.clock + op.timeout:
+            return False
+        q.popleft()
         clock = state.clock
         start = msg.arrives_at
         if start < clock:
@@ -444,29 +344,6 @@ class Engine:
                 )
             )
         return True
-
-    def _do_compute(self, rank: int, state: _RankState, op: ComputeOp) -> None:
-        start = state.clock
-        seconds = op.seconds
-        if self._straggle is not None:
-            if self._pauses is not None:
-                start = self._pause_shift(rank, start)
-            factor = self._straggle[rank]
-            if factor != 1.0:
-                seconds = seconds * factor
-        state.clock = start + seconds
-        self._compute_s[rank] += seconds
-        if not self._fast:
-            self._emit(
-                TraceEvent(
-                    rank=rank,
-                    kind="compute",
-                    start=start,
-                    end=state.clock,
-                    detail=f"{op.points:g} pts" if op.points else "",
-                    phase=state.phase_path,
-                )
-            )
 
     def _do_mark(self, rank: int, state: _RankState, op: MarkOp) -> None:
         label = op.label
@@ -629,14 +506,6 @@ class Engine:
             _deadlock_message([(r, s.blocked) for r, s in blocked])
         )
 
-    def _take_ready(self) -> list[int]:
-        """Blocked ranks whose awaited source sent a message since the last
-        sweep.  Consumes the dirty list."""
-        ready = self._dirty
-        if ready:
-            self._dirty = []
-        return ready
-
     def _drain_wakeups(self, states: list[_RankState]) -> None:
         """Re-poll only the blocked receivers whose awaited source has sent.
 
@@ -650,7 +519,13 @@ class Engine:
         the current pass if its rank number is still ahead of the scan
         position, otherwise the next pass.
         """
-        ready = self._take_ready()
+        ready = self._dirty
+        if not ready:
+            return
+        self._dirty = []
+        waiting_src = self._waiting_src
+        try_recv = self._try_recv
+        advance = self._advance
         while ready:
             heap = sorted(set(ready))
             in_pass = set(heap)
@@ -662,12 +537,16 @@ class Engine:
                 op = state.blocked
                 if state.done or op is None:
                     continue
-                if not self._try_recv(rank, state, op):
+                if not try_recv(rank, state, op):
                     continue
                 state.blocked = None
-                self._waiting_src[rank] = -1
-                self._advance(rank, state)
-                for newly in self._take_ready():
+                waiting_src[rank] = -1
+                advance(rank, state)
+                woken = self._dirty
+                if not woken:
+                    continue
+                self._dirty = []
+                for newly in woken:
                     if newly in in_pass or newly in next_pass:
                         continue
                     if newly > rank:
@@ -680,51 +559,184 @@ class Engine:
     def _advance(self, rank: int, state: _RankState) -> None:
         """Drive one rank until it finishes or blocks on an empty receive.
 
-        Ops dispatch on their exact class (the common case — the dataclasses
-        in :mod:`repro.simmpi.message`); subclasses take the isinstance
-        fallback so user-defined specializations keep working.
+        This is the engine's only op interpreter, with one handler per op
+        class: sends and computes inline, receives through
+        :meth:`_try_recv` (which the wake path drives too) and marks
+        through :meth:`_do_mark`.  The rank clock and the value to send
+        into the generator live in locals; they are written back to
+        ``state`` before any call that reads it.  An instance of a subclass
+        of an op class is dispatched to its base class's handler.
         """
         gen_send = state.gen.send
-        fast = self._fast and self._faults is None
+        clock = state.clock
+        value = state.pending_value
+        nprocs = self.nprocs
+        inbox = self._inbox
+        waiting_src = self._waiting_src
+        dirty = self._dirty
         compute_s = self._compute_s
+        comm_s = self._comm_s
+        send_cpu_time = self._send_cpu_time
+        transfer_time = self._transfer_time
+        faults = self._faults
+        straggle = self._straggle
+        pauses = self._pauses
+        bus = self._bus
+        fast = self._fast
         while True:
             try:
-                op = gen_send(state.pending_value)
-                state.pending_value = None
+                op = gen_send(value)
             except StopIteration as stop:
+                state.clock = clock
+                state.pending_value = None
                 state.done = True
                 state.result = stop.value
                 return
+            value = None
             cls = op.__class__
-            if cls is ComputeOp and fast:
-                state.clock += op.seconds
-                compute_s[rank] += op.seconds
-            elif cls is SendOp:
-                self._do_send(rank, state, op)
+            if cls not in _OP_CLASSES:
+                cls = _base_op_class(rank, op)
+            if cls is SendOp:
+                dest = op.dest
+                if not 0 <= dest < nprocs:
+                    raise ValueError(
+                        f"rank {rank}: send to invalid dest {dest}"
+                    )
+                payload = op.payload
+                tag = op.tag
+                nbytes = getattr(payload, "nbytes", None)
+                if nbytes.__class__ is not int:
+                    nbytes = payload_nbytes(payload)
+                start = clock
+                seq = 0
+                if faults is not None:
+                    if pauses is not None:
+                        start = self._pause_shift(rank, start)
+                    key = rank * nprocs + dest
+                    seq = self._seq.get(key, 0)
+                    self._seq[key] = seq + 1
+                clock = start + send_cpu_time(nbytes)
+                comm_s[rank] += clock - start
+                wire_start = clock
+                if bus and self._bus_free_at > wire_start:
+                    wire_start = self._bus_free_at
+                transfer = transfer_time(nbytes, rank, dest)
+                dropped = duplicated = False
+                if faults is not None:
+                    counts = self._fault_counts
+                    factor = faults.link_factor(rank, dest)
+                    if factor != 1.0:
+                        transfer *= factor
+                        counts["link_slowed"] += 1  # type: ignore[index]
+                    delay = faults.extra_delay(rank, dest, tag, seq)
+                    if delay != 0.0:
+                        transfer += delay
+                        counts["delayed"] += 1  # type: ignore[index]
+                    dropped = faults.drop(rank, dest, tag, seq)
+                    duplicated = not dropped and faults.duplicate(
+                        rank, dest, tag, seq
+                    )
+                arrives = wire_start + transfer
+                if bus:
+                    self._bus_free_at = arrives
+                # every wire message, dropped or not, takes the next stamp
+                order = self._msg_count
+                self._msg_count = order + 1
+                self._total_bytes += nbytes
+                if dropped:
+                    # transmitted and lost: the sender paid its CPU and (on
+                    # a bus) the wire occupancy, but nothing is delivered
+                    counts["dropped"] += 1  # type: ignore[index]
+                else:
+                    inbox[dest][(rank, tag)].append(Message(
+                        rank, dest, tag, payload, nbytes, clock, arrives,
+                        seq, order,
+                    ))
+                    ws = waiting_src[dest]
+                    if ws == rank or ws == ANY_SOURCE:
+                        dirty.append(dest)
+                if not fast:
+                    self._emit(
+                        TraceEvent(
+                            rank=rank,
+                            kind="send",
+                            start=start,
+                            end=clock,
+                            detail=f"->{dest} tag={tag}"
+                            + (" dropped" if dropped else ""),
+                            nbytes=nbytes,
+                            peer=dest,
+                            tag=tag,
+                            arrival=arrives,
+                            phase=state.phase_path,
+                        )
+                    )
+                if duplicated:
+                    # an in-network duplicate: same bytes delivered a second
+                    # time, one wire latency later (deterministic spacing)
+                    arrives += self.machine.latency
+                    inbox[dest][(rank, tag)].append(Message(
+                        rank, dest, tag, payload, nbytes, clock, arrives,
+                        seq, order + 1,
+                    ))
+                    ws = waiting_src[dest]
+                    if ws == rank or ws == ANY_SOURCE:
+                        dirty.append(dest)
+                    counts["duplicated"] += 1  # type: ignore[index]
+                    self._msg_count = order + 2
+                    self._total_bytes += nbytes
+                    if not fast:
+                        # a second send event keeps FIFO send<->recv pairing
+                        # intact for trace consumers (obs.critical matches
+                        # per channel)
+                        self._emit(
+                            TraceEvent(
+                                rank=rank,
+                                kind="send",
+                                start=clock,
+                                end=clock,
+                                detail=f"->{dest} tag={tag} dup",
+                                nbytes=nbytes,
+                                peer=dest,
+                                tag=tag,
+                                arrival=arrives,
+                                phase=state.phase_path,
+                            )
+                        )
             elif cls is RecvOp:
+                state.clock = clock
                 if not self._try_recv(rank, state, op):
+                    state.pending_value = None
                     state.blocked = op
-                    self._waiting_src[rank] = op.source
+                    waiting_src[rank] = op.source
                     return
+                clock = state.clock
+                value = state.pending_value
             elif cls is ComputeOp:
-                self._do_compute(rank, state, op)
-            elif cls is MarkOp:
-                self._do_mark(rank, state, op)
-            elif isinstance(op, SendOp):
-                self._do_send(rank, state, op)
-            elif isinstance(op, RecvOp):
-                if not self._try_recv(rank, state, op):
-                    state.blocked = op
-                    self._waiting_src[rank] = op.source
-                    return
-            elif isinstance(op, ComputeOp):
-                self._do_compute(rank, state, op)
-            elif isinstance(op, MarkOp):
-                self._do_mark(rank, state, op)
+                start = clock
+                seconds = op.seconds
+                if straggle is not None:
+                    if pauses is not None:
+                        start = self._pause_shift(rank, start)
+                    factor = straggle[rank]
+                    if factor != 1.0:
+                        seconds = seconds * factor
+                clock = start + seconds
+                compute_s[rank] += seconds
+                if not fast:
+                    self._emit(
+                        TraceEvent(
+                            rank=rank,
+                            kind="compute",
+                            start=start,
+                            end=clock,
+                            detail=f"{op.points:g} pts" if op.points else "",
+                            phase=state.phase_path,
+                        )
+                    )
             else:
-                raise TypeError(
-                    f"rank {rank} yielded unsupported op {op!r}"
-                )
+                state.clock = clock
+                self._do_mark(rank, state, op)
 
 
 def run_programs(

@@ -4,13 +4,25 @@ Rank programs are generator functions ``prog(comm)`` that ``yield`` these
 primitive ops (usually indirectly, through :class:`repro.simmpi.comm.Comm`
 helpers with ``yield from``).  The engine interprets each op, charges virtual
 time, and sends results back into the generator.
+
+The per-message ops, :class:`SendOp` and :class:`RecvOp`, are
+:class:`typing.NamedTuple` records: a Table 1 pass builds one per message
+endpoint (hundreds of thousands), and a tuple-backed record is built by one
+C-level ``tuple.__new__`` where a frozen dataclass pays an
+``object.__setattr__`` per field.  They keep the dataclass surface — field
+names and defaults, keyword construction, a field-naming ``repr``,
+immutability, hashing, ``isinstance`` — and since the two have different
+arities they never compare equal to each other or to the dataclass ops.
+:class:`ComputeOp` (validated, and cached by the emitters) and
+:class:`MarkOp` (the multipartitioned programs yield marks only for traced
+runs) stay frozen dataclasses.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import pickle
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = [
     "payload_nbytes",
@@ -97,7 +109,9 @@ class Message:
 
     Not frozen — the engine allocates one per send on its hottest path and
     a frozen dataclass pays ``object.__setattr__`` per field — but treated
-    as immutable everywhere after construction."""
+    as immutable everywhere after construction.  ``order`` is the engine's
+    global send stamp: wildcard receives compare it across the per-(source,
+    tag) queues of one mailbox to find a source's earliest-sent message."""
 
     source: int
     dest: int
@@ -110,10 +124,12 @@ class Message:
     #: injector is attached (it keys the injector's per-message decisions),
     #: 0 otherwise
     seq: int = 0
+    #: engine-global send order (strictly increasing over the run's sends,
+    #: a duplicate stamped after its original)
+    order: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class SendOp:
+class SendOp(NamedTuple):
     """Buffered (eager) send: charges sender CPU overhead and schedules the
     arrival; never blocks the sender.
 
@@ -127,8 +143,7 @@ class SendOp:
     tag: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class RecvOp:
+class RecvOp(NamedTuple):
     """Blocking receive matched by (source, tag) in FIFO order.  ``tag`` may
     be :data:`ANY_TAG` to match the earliest message from ``source``, and
     ``source`` may be :data:`ANY_SOURCE` to match the earliest-arriving

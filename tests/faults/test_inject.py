@@ -1,6 +1,10 @@
 """Tests for the pure-integer fault decision functions."""
 
-from repro.faults import FaultInjector, FaultPlan, unit_hash
+import itertools
+
+import pytest
+
+from repro.faults import PROTO_TAG, FaultInjector, FaultPlan, unit_hash
 
 
 class TestUnitHash:
@@ -68,6 +72,39 @@ class TestDropAndDuplicate:
         inj = FaultInjector(FaultPlan(seed=1, drop_rate=0.5), nprocs=4)
         fates = [inj.drop(0, 1, 0, seq) for seq in range(32)]
         assert True in fates and False in fates
+
+
+class TestDecisionsMatchUnitHash:
+    """Golden check: each per-message decision continues a cached
+    ``(seed, channel)`` hash prefix, and must stay bit-identical to the
+    one-shot ``unit_hash(seed, channel, src, dst, tag, seq)``."""
+
+    #: channel salts of the drop, duplicate and jitter streams
+    DROP, DUP, JITTER = 1, 2, 3
+    COORDS = list(itertools.product(
+        range(3), range(3), (0, 1, 7, 2**20 + 5, PROTO_TAG), (0, 1, 2, 977),
+    ))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2002, 2**63 + 11])
+    def test_jitter_equals_unit_hash(self, seed):
+        inj = FaultInjector(FaultPlan(seed=seed, jitter=1.0), nprocs=3)
+        for src, dst, tag, seq in self.COORDS:
+            assert inj.extra_delay(src, dst, tag, seq) == unit_hash(
+                seed, self.JITTER, src, dst, tag, seq
+            )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2002, 2**63 + 11])
+    @pytest.mark.parametrize("rate", [0.05, 0.5, 0.95])
+    def test_drop_and_duplicate_threshold_unit_hash(self, seed, rate):
+        plan = FaultPlan(seed=seed, drop_rate=rate, dup_rate=rate)
+        inj = FaultInjector(plan, nprocs=3)
+        for src, dst, tag, seq in self.COORDS:
+            assert inj.drop(src, dst, tag, seq) == (
+                unit_hash(seed, self.DROP, src, dst, tag, seq) < rate
+            )
+            assert inj.duplicate(src, dst, tag, seq) == (
+                unit_hash(seed, self.DUP, src, dst, tag, seq) < rate
+            )
 
 
 class TestLinksAndRanks:
