@@ -2,6 +2,7 @@
 
 from .adi import ADIProblem
 from .bt import BTProblem, bt_class, bt_plan
+from .planning import PROBLEMS, app_problem, plan_app
 from .sp import SPProblem, sp_class
 from .workloads import (
     CLASS_SHAPES,
@@ -16,6 +17,9 @@ __all__ = [
     "BTProblem",
     "bt_class",
     "bt_plan",
+    "PROBLEMS",
+    "app_problem",
+    "plan_app",
     "SPProblem",
     "sp_class",
     "CLASS_SHAPES",

@@ -33,6 +33,8 @@ def _shape(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.simmpi.machine import PRESETS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Generalized multipartitioning (IPDPS 2002) toolkit",
@@ -240,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=2002,
                        help="fault-plan seed (same seed => same faults)")
     chaos.add_argument(
-        "--machine", default="origin2000",
-        choices=["origin2000", "ethernet_cluster", "bus"],
+        "--machine", default="origin2000", choices=list(PRESETS),
     )
     chaos.add_argument(
         "--ranking-p", type=str, default="",
@@ -489,7 +490,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "bt":
         from repro.analysis.report import format_table
-        from repro.apps.bt import bt_class, bt_plan
+        from repro.apps.bt import bt_class
+        from repro.apps.planning import plan_app
         from repro.simmpi.machine import origin2000
         from repro.sweep.modeled import multipart_time
         from repro.sweep.sequential import sequential_time
@@ -500,11 +502,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         t1 = sequential_time(prob.field_shape, sched, machine)
         rows = []
         for p in (1, 4, 9, 16, 25, 36, 49, 64, 81):
-            plan = bt_plan(prob.shape, p, machine.to_cost_model())
-            t = multipart_time(
-                prob.field_shape, plan.partitioning, machine, sched
+            _, partitioning, _ = plan_app(
+                "bt", prob.shape, p, machine.to_cost_model()
             )
-            rows.append([p, plan.gammas[:3], t1 / t])
+            t = multipart_time(prob.field_shape, partitioning, machine, sched)
+            rows.append([p, partitioning.gammas[:3], t1 / t])
         print(
             format_table(
                 ["p", "tiling", "speedup"], rows,
@@ -569,22 +571,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         import numpy as np
 
         from repro.analysis.phases import format_breakdown, op_breakdown
-        from repro.apps.adi import ADIProblem
+        from repro.apps.planning import plan_app
         from repro.apps.workloads import random_field
-        from repro.core.api import plan_multipartitioning
         from repro.simmpi.machine import origin2000
         from repro.simmpi.traceio import ascii_timeline
         from repro.sweep.multipart import MultipartExecutor
         from repro.sweep.sequential import run_sequential
 
         machine = origin2000()
-        prob = ADIProblem(shape=args.shape, steps=args.steps)
-        plan = plan_multipartitioning(
-            args.shape, args.nprocs, machine.to_cost_model()
+        prob, partitioning, plan = plan_app(
+            "adi", args.shape, args.nprocs, machine.to_cost_model(),
+            steps=args.steps,
         )
         field = random_field(args.shape, seed=args.seed)
         result, run_res = MultipartExecutor(
-            plan.partitioning, args.shape, machine, record_events=True
+            partitioning, args.shape, machine, record_events=True
         ).run(field, prob.schedule())
         err = float(
             np.abs(result - run_sequential(field, prob.schedule())).max()

@@ -45,34 +45,8 @@ CHAOS_SCHEMA = "repro.chaos-report.v1"
 DEFAULT_DROP_RATES = (0.0, 0.02, 0.05, 0.1, 0.2)
 
 
-def _build(app: str, shape: tuple[int, ...], p: int, machine_name: str):
-    """(problem, schedule, partitioning, machine) for one configuration."""
-    from repro.apps.adi import ADIProblem
-    from repro.apps.bt import BTProblem, bt_plan
-    from repro.apps.sp import SPProblem
-    from repro.core.api import plan_multipartitioning
-    from repro.simmpi.machine import bus, ethernet_cluster, origin2000
-
-    machines = {
-        "origin2000": origin2000,
-        "ethernet_cluster": ethernet_cluster,
-        "bus": bus,
-    }
-    machine = machines[machine_name]()
-    cls = {"sp": SPProblem, "bt": BTProblem, "adi": ADIProblem}[app]
-    problem = cls(tuple(shape), steps=1)
-    if app == "bt":
-        plan = bt_plan(tuple(shape), p, machine.to_cost_model())
-    else:
-        plan = plan_multipartitioning(
-            tuple(shape), p, machine.to_cost_model()
-        )
-    return problem, problem.schedule(), plan.partitioning, machine
-
-
 def _skeleton_run(
     problem,
-    schedule,
     partitioning,
     machine,
     faults: FaultPlan | None = None,
@@ -90,7 +64,7 @@ def _skeleton_run(
         faults=faults,
         protocol=protocol,
     )
-    return executor.run_skeleton(schedule)
+    return executor.run_skeleton(problem.schedule())
 
 
 def degradation_curve(
@@ -108,16 +82,18 @@ def degradation_curve(
     baseline, so the curve isolates the cost of faults from the (small)
     fixed cost of acknowledgements.
     """
+    from repro.apps.planning import plan_app
+    from repro.simmpi.machine import PRESETS
+
     protocol = protocol or ProtocolConfig()
-    problem, schedule, partitioning, mach = _build(app, shape, p, machine)
-    baseline = _skeleton_run(
-        problem, schedule, partitioning, mach, protocol=protocol
-    )
+    mach = PRESETS[machine]()
+    problem, partitioning, _ = plan_app(app, shape, p, mach.to_cost_model())
+    baseline = _skeleton_run(problem, partitioning, mach, protocol=protocol)
     points = []
     for rate in drop_rates:
         plan = FaultPlan(seed=seed, drop_rate=rate)
         result = _skeleton_run(
-            problem, schedule, partitioning, mach,
+            problem, partitioning, mach,
             faults=plan, protocol=protocol,
         )
         points.append(
@@ -159,18 +135,20 @@ def resilience_ranking(
     Lower slowdown = more resilient; entries come back sorted most-resilient
     first, ties broken by smaller p (deterministic output ordering).
     """
+    from repro.apps.planning import plan_app
+    from repro.simmpi.machine import PRESETS
+
     protocol = protocol or ProtocolConfig()
+    mach = PRESETS[machine]()
     entries = []
     for p in ps:
-        problem, schedule, partitioning, mach = _build(
-            app, shape, p, machine
+        problem, partitioning, _ = plan_app(
+            app, shape, p, mach.to_cost_model()
         )
-        base = _skeleton_run(
-            problem, schedule, partitioning, mach, protocol=protocol
-        )
+        base = _skeleton_run(problem, partitioning, mach, protocol=protocol)
         plan = FaultPlan(seed=seed, drop_rate=drop_rate)
         faulty = _skeleton_run(
-            problem, schedule, partitioning, mach,
+            problem, partitioning, mach,
             faults=plan, protocol=protocol,
         )
         entries.append(
@@ -219,13 +197,14 @@ def straggler_shift(
     :func:`~repro.obs.critical.critical_path` decompositions.  No protocol
     is needed — stragglers delay but never lose messages.
     """
+    from repro.apps.planning import plan_app
     from repro.faults.inject import FaultInjector
     from repro.obs.critical import critical_path
+    from repro.simmpi.machine import PRESETS
 
-    problem, schedule, partitioning, mach = _build(app, shape, p, machine)
-    base = _skeleton_run(
-        problem, schedule, partitioning, mach, record_events=True
-    )
+    mach = PRESETS[machine]()
+    problem, partitioning, _ = plan_app(app, shape, p, mach.to_cost_model())
+    base = _skeleton_run(problem, partitioning, mach, record_events=True)
     base_path = critical_path(base.trace.events, base.clocks)
 
     # find the first seed whose hash actually slows somebody (rate 1/p
@@ -245,7 +224,7 @@ def straggler_shift(
     stragglers = FaultInjector(plan, p).straggler_ranks()
 
     slow = _skeleton_run(
-        problem, schedule, partitioning, mach,
+        problem, partitioning, mach,
         faults=plan, record_events=True,
     )
     slow_path = critical_path(slow.trace.events, slow.clocks)

@@ -65,20 +65,10 @@ def resolve_faults(spec: ExperimentSpec):
 def resolve_machine(spec: ExperimentSpec):
     """Build the MachineModel a spec names (presets + field overrides)."""
     from repro.core.cost import NetworkScaling
-    from repro.simmpi.machine import (
-        MachineModel,
-        bus,
-        ethernet_cluster,
-        origin2000,
-    )
+    from repro.simmpi.machine import PRESETS, MachineModel
 
-    presets = {
-        "origin2000": origin2000,
-        "ethernet_cluster": ethernet_cluster,
-        "bus": bus,
-    }
-    if spec.machine in presets:
-        machine = presets[spec.machine]()
+    if spec.machine in PRESETS:
+        machine = PRESETS[spec.machine]()
     else:  # "generic" or "default" — plain constructor defaults
         machine = MachineModel()
     overrides = dict(spec.machine_params)
@@ -108,85 +98,6 @@ def resolve_cost_model(spec: ExperimentSpec):
     return base
 
 
-def _problem_for(spec: ExperimentSpec):
-    """(problem, field_shape) for the spec's app."""
-    from repro.apps.adi import ADIProblem
-    from repro.apps.bt import BTProblem
-    from repro.apps.sp import SPProblem
-
-    cls = {"sp": SPProblem, "bt": BTProblem, "adi": ADIProblem}[spec.app]
-    prob = cls(spec.shape, steps=spec.steps)
-    return prob, prob.field_shape
-
-
-def _plan_for(spec: ExperimentSpec, cost_model):
-    """(partitioning, gammas, cost, candidates_examined, compact)."""
-    from repro.apps.bt import bt_plan
-    from repro.core.api import plan_multipartitioning
-    from repro.core.cost import Objective
-    from repro.core.diagonal import diagonal_applicable, diagonal_nd
-    from repro.core.mapping import Multipartitioning
-
-    d = len(spec.shape)
-    if spec.partitioner == "diagonal":
-        if spec.app == "bt":
-            raise ValueError(
-                "diagonal partitioner does not support BT's component axis"
-            )
-        if not diagonal_applicable(spec.p, d):
-            raise ValueError(
-                f"no diagonal multipartitioning of p={spec.p} in {d}-D"
-            )
-        partitioning = Multipartitioning(
-            owner=diagonal_nd(spec.p, d), nprocs=spec.p
-        )
-        return partitioning, partitioning.gammas, None, 0, True
-    objective = Objective(spec.objective)
-    if spec.app == "bt":
-        plan = bt_plan(spec.shape, spec.p, cost_model)
-    else:
-        plan = plan_multipartitioning(
-            spec.shape, spec.p, cost_model, objective
-        )
-    return (
-        plan.partitioning,
-        plan.gammas,
-        float(plan.choice.cost),
-        plan.choice.candidates_examined,
-        plan.choice.is_compact(),
-    )
-
-
-def _verify_spec(spec: ExperimentSpec, problem, field_shape, partitioning):
-    """Static pre-flight over the exact configuration this spec will run:
-    communication analyses on the extracted rank-program IR plus the
-    paper-invariant proof pass.  Returns a VerifyReport."""
-    from repro.sweep.multipart import MultipartExecutor
-    from repro.verify import (
-        VerifyReport,
-        check_invariants,
-        extract_program_ir,
-        verify_ir,
-    )
-
-    machine = resolve_machine(spec)
-    executor = MultipartExecutor(
-        partitioning,
-        field_shape,
-        machine,
-        record_events=True,
-        payload="skeleton",
-    )
-    invariants, certificate = check_invariants(partitioning)
-    ir = extract_program_ir(executor, problem.schedule())
-    matching, deadlock, races = verify_ir(ir)
-    return VerifyReport(
-        config={"spec": spec.to_canonical()},
-        analyses=(matching, deadlock, races, invariants),
-        certificate=certificate,
-    )
-
-
 def run_spec(spec: ExperimentSpec, verify: bool = False) -> dict:
     """Execute one experiment and return its JSON-serializable result.
 
@@ -195,13 +106,26 @@ def run_spec(spec: ExperimentSpec, verify: bool = False) -> dict:
     structured ``{"error": ...}`` result carrying the full report — which
     the batch runner never caches, so the cache schema is unaffected.
     """
-    cost_model = resolve_cost_model(spec)
-    problem, field_shape = _problem_for(spec)
-    partitioning, gammas, cost, examined, compact = _plan_for(
-        spec, cost_model
+    from repro.apps.planning import plan_app
+
+    problem, partitioning, plan = plan_app(
+        spec.app, spec.shape, spec.p, resolve_cost_model(spec),
+        partitioner=spec.partitioner, objective=spec.objective,
+        steps=spec.steps,
     )
+    field_shape = problem.field_shape
     if verify:
-        report = _verify_spec(spec, problem, field_shape, partitioning)
+        from repro.sweep.multipart import MultipartExecutor
+        from repro.verify.checker import proof_mapping, verify_built
+
+        executor = MultipartExecutor(
+            partitioning, field_shape, resolve_machine(spec),
+            record_events=True, payload="skeleton",
+        )
+        report = verify_built(
+            {"spec": spec.to_canonical()}, executor, problem.schedule(),
+            partitioning, proof_mapping(plan, partitioning),
+        )
         if not report.ok:
             return {
                 "schema": SCHEMA_TAG,
@@ -212,10 +136,12 @@ def run_spec(spec: ExperimentSpec, verify: bool = False) -> dict:
     result: dict = {
         "schema": SCHEMA_TAG,
         "spec": spec.to_canonical(),
-        "gammas": list(gammas),
-        "cost": cost,
-        "candidates_examined": examined,
-        "compact": compact,
+        "gammas": list(partitioning.gammas),
+        "cost": None if plan is None else float(plan.choice.cost),
+        "candidates_examined": (
+            0 if plan is None else plan.choice.candidates_examined
+        ),
+        "compact": True if plan is None else plan.choice.is_compact(),
     }
     if spec.mode == "plan":
         return result

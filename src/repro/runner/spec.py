@@ -28,6 +28,8 @@ import hashlib
 import json
 from typing import Sequence
 
+from repro.simmpi.machine import PRESETS
+
 __all__ = [
     "SCHEMA_TAG",
     "FAULT_FIELDS",
@@ -46,9 +48,10 @@ SCHEMA_TAG = "repro.sweep-result.v3"
 
 MODES = ("plan", "modeled", "simulated", "skeleton")
 APPS = ("sp", "bt", "adi")
-#: preset machine names (resolved in repro.runner.execute); "default" means
-#: the plain analytic CostModel() and is only meaningful in plan mode
-MACHINES = ("origin2000", "ethernet_cluster", "bus", "generic", "default")
+#: machine names: the presets, "generic" (plain MachineModel defaults) and
+#: "default", which means the plain analytic CostModel() and is only
+#: meaningful in plan mode
+MACHINES = (*PRESETS, "generic", "default")
 PARTITIONERS = ("optimal", "diagonal")
 OBJECTIVES = ("full", "phases", "volume")
 
@@ -173,6 +176,14 @@ class ExperimentSpec:
                 raise ValueError(
                     f"{field} must be one of {allowed}, got {value!r}"
                 )
+        from repro.apps.planning import app_problem
+
+        # the planner's own checks that need no planning (the app's
+        # dimensionality, BT's objective), so a bad spec fails here and
+        # not inside a worker
+        app_problem(
+            self.app, self.shape, steps=self.steps, objective=self.objective
+        )
 
     # -- canonical form -----------------------------------------------------
 
@@ -257,22 +268,11 @@ def machine_spec_fields(machine) -> tuple[str, tuple[tuple[str, float], ...]]:
     Topology-carrying machines are rejected — a topology object has no
     canonical JSON form.
     """
-    from repro.simmpi.machine import (
-        bus,
-        ethernet_cluster,
-        origin2000,
-    )
-
     if machine.topology is not None or machine.per_hop_latency:
         raise ValueError(
             "machines with a topology cannot be encoded in a sweep spec"
         )
-    presets = {
-        "origin2000": origin2000,
-        "ethernet_cluster": ethernet_cluster,
-        "bus": bus,
-    }
-    factory = presets.get(machine.name)
+    factory = PRESETS.get(machine.name)
     if factory is not None and machine == factory():
         return machine.name, ()
     return "generic", (

@@ -4,8 +4,8 @@
 runs before committing simulator (or cluster) time to a user-submitted
 ``(app, shape, p)``:
 
-1. plan the multipartitioning exactly as the runner would (same optimizer,
-   same diagonal/BT special cases);
+1. plan the multipartitioning with :func:`repro.apps.planning.plan_app`,
+   the planner the runner also uses;
 2. run the **paper-invariant proof pass** on the concrete assignment;
 3. extract the **rank-program IR** (skeleton programs, no engine);
 4. run **send/recv matching**, **deadlock**, and **message-race** analyses
@@ -16,7 +16,9 @@ configuration is structurally sound — every message has exactly one
 receiver, no wait-for cycle exists, delivery order is fully determined,
 and the mapping provably satisfies the validity/balance/neighbor theorems.
 
-``verify_ir`` exposes steps 3–4 for callers that already hold an IR (the
+``verify_built`` runs steps 2–4 on a built configuration, for both
+``verify_config`` and the runner's ``verify=True`` pre-flight.
+``verify_ir`` exposes step 4 for callers that already hold an IR (the
 mutation self-test harness corrupts IRs and feeds them back through it).
 """
 
@@ -32,7 +34,13 @@ from .matching import check_matching
 from .races import check_races
 from .report import AnalysisResult, VerifyReport
 
-__all__ = ["verify_config", "verify_ir", "build_configuration"]
+__all__ = [
+    "verify_config",
+    "verify_built",
+    "verify_ir",
+    "build_configuration",
+    "proof_mapping",
+]
 
 
 def verify_ir(ir: ProgramIR) -> tuple[AnalysisResult, ...]:
@@ -45,6 +53,16 @@ def verify_ir(ir: ProgramIR) -> tuple[AnalysisResult, ...]:
     )
 
 
+def proof_mapping(plan: Any, partitioning: Any) -> Any:
+    """The plan's modular mapping when it covers every axis of
+    ``partitioning``, else ``None``: BT embeds a 3-D plan into a 4-D field
+    (STAR component axis), so its mapping certifies the spatial axes only
+    and the proof pass falls back to the owner table itself."""
+    if plan is None or plan.mapping.dims_in != partitioning.ndim:
+        return None
+    return plan.mapping
+
+
 def build_configuration(
     app: str,
     shape: tuple[int, ...],
@@ -55,60 +73,18 @@ def build_configuration(
     machine: Any = None,
     stencil_rhs: bool = False,
 ) -> tuple[Any, Any, Any, Any]:
-    """(executor, schedule, partitioning, mapping) for a configuration.
-
-    Mirrors the planning path of :func:`repro.runner.execute.run_spec` —
-    the verifier must judge exactly the configuration the runner would
-    execute.
-    """
-    from repro.apps.adi import ADIProblem
-    from repro.apps.bt import BTProblem, bt_plan
-    from repro.apps.sp import SPProblem
-    from repro.core.api import plan_multipartitioning
-    from repro.core.diagonal import diagonal_applicable, diagonal_nd
-    from repro.core.mapping import Multipartitioning
+    """(executor, schedule, partitioning, mapping) for a configuration,
+    planned by :func:`repro.apps.planning.plan_app`."""
+    from repro.apps.planning import plan_app
     from repro.simmpi.machine import origin2000
     from repro.sweep.multipart import MultipartExecutor
 
     if machine is None:
         machine = origin2000()
-    if app == "sp":
-        problem = SPProblem(shape, steps=steps, stencil_rhs=stencil_rhs)
-    elif app == "bt":
-        problem = BTProblem(shape, steps=steps)
-    elif app == "adi":
-        problem = ADIProblem(shape, steps=steps)
-    else:
-        raise ValueError(f"unknown app {app!r} (expected sp, bt or adi)")
-
-    mapping = None
-    if partitioner == "diagonal":
-        if app == "bt":
-            raise ValueError(
-                "diagonal partitioner does not support BT's component axis"
-            )
-        d = len(shape)
-        if not diagonal_applicable(p, d):
-            raise ValueError(
-                f"no diagonal multipartitioning of p={p} in {d}-D"
-            )
-        partitioning = Multipartitioning(owner=diagonal_nd(p, d), nprocs=p)
-    elif partitioner == "optimal":
-        cost_model = machine.to_cost_model()
-        if app == "bt":
-            plan = bt_plan(shape, p, cost_model)
-        else:
-            plan = plan_multipartitioning(shape, p, cost_model)
-        partitioning = plan.partitioning
-        mapping = plan.mapping
-        if mapping.dims_in != partitioning.ndim:
-            # BT embeds a 3-D plan into a 4-D field (STAR component axis);
-            # the mapping certifies the spatial axes only, so the proof
-            # pass falls back to the owner table itself
-            mapping = None
-    else:
-        raise ValueError(f"unknown partitioner {partitioner!r}")
-
+    problem, partitioning, plan = plan_app(
+        app, shape, p, machine.to_cost_model(), partitioner=partitioner,
+        steps=steps, stencil_rhs=stencil_rhs,
+    )
     executor = MultipartExecutor(
         partitioning,
         problem.field_shape,
@@ -117,7 +93,51 @@ def build_configuration(
         record_events=True,  # enables phase marks in the extracted IR
         payload="skeleton",
     )
+    mapping = proof_mapping(plan, partitioning)
     return executor, problem.schedule(), partitioning, mapping
+
+
+def verify_built(
+    config: dict[str, Any],
+    executor: Any,
+    schedule: Any,
+    partitioning: Any,
+    mapping: Any = None,
+    protocol: bool = False,
+) -> VerifyReport:
+    """Proof pass on ``partitioning`` (cross-checked against ``mapping``
+    when given), then the analyses over the IR of ``executor``'s programs
+    for ``schedule`` (plus the protocol model check with ``protocol``).
+    The report's config is ``config`` plus the tile counts and IR size."""
+    config = {**config, "gammas": list(partitioning.gammas)}
+    invariant_result, certificate = check_invariants(
+        partitioning, p=partitioning.nprocs, mapping=mapping
+    )
+    ir = extract_program_ir(executor, schedule)
+    matching, deadlock, races = verify_ir(ir)
+    config["ir"] = {
+        "ranks": ir.nprocs,
+        "ops": ir.total_ops,
+        "messages": ir.total_sends,
+        "bytes": ir.total_send_bytes,
+    }
+    analyses = (matching, deadlock, races, invariant_result)
+    if protocol:
+        from .protocol import check_protocol
+
+        result = check_protocol()
+        # tie the generic pairwise proof to this configuration's channels
+        result = AnalysisResult(
+            name=result.name,
+            violations=result.violations,
+            stats={**result.stats, "config_channels": ir.total_sends},
+        )
+        analyses = analyses + (result,)
+    return VerifyReport(
+        config=config,
+        analyses=analyses,
+        certificate=certificate,
+    )
 
 
 def verify_config(
@@ -183,33 +203,6 @@ def verify_config(
             ),
         )
 
-    config["gammas"] = list(partitioning.gammas)
-    invariant_result, certificate = check_invariants(
-        partitioning, p=partitioning.nprocs, mapping=mapping
-    )
-    ir = extract_program_ir(executor, schedule)
-    matching, deadlock, races = verify_ir(ir)
-    stats_extra = {
-        "ranks": ir.nprocs,
-        "ops": ir.total_ops,
-        "messages": ir.total_sends,
-        "bytes": ir.total_send_bytes,
-    }
-    config["ir"] = stats_extra
-    analyses = (matching, deadlock, races, invariant_result)
-    if protocol:
-        from .protocol import check_protocol
-
-        result = check_protocol()
-        # tie the generic pairwise proof to this configuration's channels
-        result = AnalysisResult(
-            name=result.name,
-            violations=result.violations,
-            stats={**result.stats, "config_channels": ir.total_sends},
-        )
-        analyses = analyses + (result,)
-    return VerifyReport(
-        config=config,
-        analyses=analyses,
-        certificate=certificate,
+    return verify_built(
+        config, executor, schedule, partitioning, mapping, protocol=protocol
     )

@@ -17,12 +17,12 @@ class TestResolvers:
     def test_presets(self):
         from repro.simmpi.machine import origin2000
 
-        spec = ExperimentSpec(shape=(8, 8), p=2)
+        spec = ExperimentSpec(shape=(8, 8, 8), p=2)
         assert resolve_machine(spec) == origin2000()
 
     def test_machine_overrides_applied(self):
         spec = ExperimentSpec(
-            shape=(8, 8), p=2,
+            shape=(8, 8, 8), p=2,
             machine_params=(("latency", 1e-3), ("network", "bus")),
         )
         from repro.core.cost import NetworkScaling
@@ -34,14 +34,14 @@ class TestResolvers:
     def test_cost_model_from_machine(self):
         from repro.simmpi.machine import origin2000
 
-        spec = ExperimentSpec(shape=(8, 8), p=2)
+        spec = ExperimentSpec(shape=(8, 8, 8), p=2)
         assert resolve_cost_model(spec) == origin2000().to_cost_model()
 
     def test_cost_model_from_explicit_params(self):
         from repro.core.cost import CostModel
 
         model = CostModel(k2=3e-4)
-        spec = spec_for_cost_model((8, 8), 2, model)
+        spec = spec_for_cost_model((8, 8, 8), 2, model)
         assert resolve_cost_model(spec) == model
 
 

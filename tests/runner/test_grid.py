@@ -26,7 +26,7 @@ class TestExpandGrid:
         assert all(s.mode == "simulated" and s.steps == 2 for s in specs)
 
     def test_defaults_fill_in(self):
-        specs = expand_grid({"shapes": [[8, 8]], "nprocs": [2]})
+        specs = expand_grid({"shapes": [[8, 8, 8]], "nprocs": [2]})
         (spec,) = specs
         assert spec.app == "sp"
         assert spec.machine == "origin2000"

@@ -20,11 +20,11 @@ class TestCanonicalization:
 
     def test_params_sorted(self):
         a = ExperimentSpec(
-            shape=(8, 8), p=2,
+            shape=(8, 8, 8), p=2,
             cost_params=(("k3", 1e-8), ("k1", 1e-7)),
         )
         b = ExperimentSpec(
-            shape=(8, 8), p=2,
+            shape=(8, 8, 8), p=2,
             cost_params=(("k1", 1e-7), ("k3", 1e-8)),
         )
         assert a == b
@@ -32,7 +32,7 @@ class TestCanonicalization:
 
     def test_dict_params_accepted(self):
         spec = ExperimentSpec(
-            shape=(8, 8), p=2, machine_params={"latency": 1e-5}
+            shape=(8, 8, 8), p=2, machine_params={"latency": 1e-5}
         )
         assert spec.machine_params == (("latency", 1e-5),)
 
@@ -79,6 +79,47 @@ class TestValidation:
             ExperimentSpec(shape=(8,), p=2)
         with pytest.raises(ValueError):
             ExperimentSpec(shape=(8, 8), p=0)
+
+    def test_rejects_app_dimensionality_with_the_problem_message(self):
+        from repro.apps import BTProblem, SPProblem
+
+        for app, cls, shape in (
+            ("sp", SPProblem, (8, 8)),
+            ("bt", BTProblem, (8, 8, 8, 5)),
+        ):
+            with pytest.raises(ValueError) as own:
+                cls(shape)
+            with pytest.raises(ValueError) as spec:
+                ExperimentSpec(shape=shape, p=2, app=app)
+            assert str(spec.value) == str(own.value)
+        assert str(own.value) == "BT is a 3-D benchmark"
+
+    def test_accepts_2d_adi(self):
+        from repro.runner import run_spec
+
+        spec = ExperimentSpec(shape=(8, 8), p=2, app="adi", mode="plan")
+        assert run_spec(spec)["gammas"] == [2, 2]
+
+    @pytest.mark.parametrize("objective", ["phases", "volume"])
+    def test_bt_rejects_objectives_it_cannot_plan(self, objective):
+        with pytest.raises(ValueError, match="full objective only"):
+            ExperimentSpec(
+                app="bt", shape=(64, 48, 40), p=12, mode="plan",
+                objective=objective,
+            )
+        # SP honours the same objective, so the rejection is BT's alone
+        ExperimentSpec(
+            app="sp", shape=(64, 48, 40), p=12, mode="plan",
+            objective=objective,
+        )
+
+    def test_machine_names_come_from_the_preset_table(self):
+        from repro.runner.spec import MACHINES
+        from repro.simmpi.machine import PRESETS
+
+        assert MACHINES == (*PRESETS, "generic", "default")
+        for name, factory in PRESETS.items():
+            assert factory().name == name
 
 
 class TestCacheKey:

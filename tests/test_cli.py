@@ -286,6 +286,13 @@ class TestSweep:
     def test_requires_grid_or_flags(self, capsys):
         assert main(["sweep"]) == 2
 
+    def test_wrong_dimensionality_rejected_before_running(self, capsys):
+        assert main([
+            "sweep", "--shapes", "8x8", "--nprocs", "2", "--mode", "plan",
+            "--no-cache",
+        ]) == 2
+        assert capsys.readouterr().err == "sweep: SP is a 3-D benchmark\n"
+
 
 class TestFaultCommands:
     def test_sweep_fault_drops_axis(self, capsys):

@@ -88,6 +88,30 @@ class TestRunnerPreFlight:
         assert verified == plain
         assert "verify" not in verified
 
+    def test_run_spec_verify_checks_the_mapping(self, monkeypatch):
+        """The pre-flight cross-checks the owner table it will run against
+        the plan's modular mapping: relabelling the ranks keeps every
+        structural property but breaks that agreement."""
+        from repro.apps import planning
+        from repro.core.mapping import Multipartitioning
+
+        real = planning.plan_app
+
+        def relabelled(*args, **kwargs):
+            problem, partitioning, plan = real(*args, **kwargs)
+            p = partitioning.nprocs
+            owner = (partitioning.owner + 1) % p
+            return problem, Multipartitioning(owner=owner, nprocs=p), plan
+
+        monkeypatch.setattr(planning, "plan_app", relabelled)
+        spec = ExperimentSpec(app="sp", shape=(8, 8, 8), p=4, mode="plan")
+        result = run_spec(spec, verify=True)
+        assert result["error"].startswith("verification failed")
+        report = result["verify"]
+        assert report["certificate"]["mapping_consistent"] is False
+        assert report["config"]["spec"] == spec.to_canonical()
+        assert report["config"]["gammas"] == [2, 2, 2]
+
     def test_run_spec_verify_modeled_mode(self):
         spec = ExperimentSpec(
             app="adi", shape=(8, 8, 8), p=2, mode="modeled"
