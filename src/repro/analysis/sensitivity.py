@@ -45,6 +45,8 @@ def tiling_vs_parameter(
     plan-mode experiment spec pinning the full cost model, and the batch
     runs through ``runner`` (cacheless inline by default) — hand one with a
     :class:`~repro.runner.ResultCache` to make repeated ablations free.
+    The specs name ADI, whose plan is the optimizer's under the full
+    objective for any ``d >= 2`` (SP and BT are 3-D only).
     """
     base = base or CostModel()
     if parameter not in ("k1", "k2", "k3"):
@@ -55,6 +57,7 @@ def tiling_vs_parameter(
             tuple(shape),
             p,
             dataclasses.replace(base, **{parameter: float(v)}),
+            app="adi",
         )
         for v in values
     ]

@@ -16,6 +16,7 @@ programmers make by hand.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from repro.core.cost import CostModel
 from repro.hpf.directives import Distribute, DistFormat, Processors, Template
 from repro.hpf.distribution import ResolvedMulti, resolve_distribution
 from repro.sweep.blockrec import block_tridiagonal_matvec, block_thomas_solve
-from repro.sweep.ops import PointwiseOp, block_thomas_ops
+from repro.sweep.ops import BlockSweepOp, PointwiseOp, block_thomas_ops
 from repro.sweep.sequential import run_sequential
 
 __all__ = ["BTProblem", "bt_plan", "bt_class"]
@@ -50,6 +51,20 @@ def _default_blocks() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return A, B, C
 
 
+@functools.lru_cache(maxsize=16)
+def _solve_ops(n: int) -> tuple[BlockSweepOp, ...]:
+    """The block Thomas sweeps (along axis 0) for an axis of extent ``n``.
+
+    The blocks are constant, so the coefficients depend on ``n`` alone:
+    they are factored once per extent and shared by every
+    :class:`BTProblem`, hence read-only."""
+    ops = tuple(block_thomas_ops(n, 0, *_default_blocks()))
+    for op in ops:
+        op.mult.setflags(write=False)
+        op.scale.setflags(write=False)
+    return ops
+
+
 @dataclasses.dataclass(frozen=True)
 class BTProblem:
     """A proxy BT instance on a 3-D grid of 5-vectors."""
@@ -72,11 +87,9 @@ class BTProblem:
         return _default_blocks()
 
     def solve_ops(self, axis: int) -> list:
-        A, B, C = self.blocks()
-        ops = block_thomas_ops(self.shape[axis], axis, A, B, C)
         return [
-            dataclasses.replace(op, phase=f"{'xyz'[axis]}_solve")
-            for op in ops
+            dataclasses.replace(op, axis=axis, phase=f"{'xyz'[axis]}_solve")
+            for op in _solve_ops(self.shape[axis])
         ]
 
     def step_schedule(self) -> list:

@@ -39,10 +39,13 @@ def app_problem(
     a known app, a shape its problem class accepts (the class raises its
     own message, e.g. "SP is a 3-D benchmark"), and for BT, whose
     directive path has no objective, the full one.  ``stencil_rhs`` is
-    SP's alone."""
+    SP's alone: another app rejects it rather than run its plain
+    schedule under the flag."""
     cls = PROBLEMS.get(app)
     if cls is None:
         raise ValueError(f"unknown app {app!r} (expected sp, bt or adi)")
+    if stencil_rhs and app != "sp":
+        raise ValueError("stencil_rhs is SP's alone")
     kwargs = {"stencil_rhs": stencil_rhs} if app == "sp" else {}
     problem = cls(tuple(int(s) for s in shape), steps=steps, **kwargs)
     objective = Objective(objective)

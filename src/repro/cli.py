@@ -642,8 +642,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "check":
         import json
 
+        from repro.apps.planning import app_problem
         from repro.verify import verify_config
 
+        try:
+            app_problem(
+                args.app, args.shape, steps=args.steps,
+                stencil_rhs=args.stencil_rhs,
+            )
+        except ValueError as exc:
+            print(f"check: {exc}", file=sys.stderr)
+            return 2
         report = verify_config(
             args.app,
             args.shape,

@@ -2,18 +2,23 @@
 
 Wraps an owner table (any int array over the tile grid, usually produced by
 :func:`repro.core.modmap.build_modular_mapping` or
-:mod:`repro.core.diagonal`) and precomputes everything the sweep runtime and
-the dHPF-lite communication planner need:
+:mod:`repro.core.diagonal`).  Construction validates the table and keeps
+the neighbor successor tables per signed direction (the neighbor property
+guarantees these are single-valued); both are whole-array work.  What only
+some callers read is built on first use:
 
-* per-rank tile lists, globally and (on first use, per axis) per slab;
-* the neighbor successor tables per signed direction (the neighbor property
-  guarantees these are single-valued);
-* slab enumeration in sweep order.
+* per-rank tile lists, from one stable argsort of the owner table (plan and
+  modeled runs never read them);
+* per axis, each rank's tiles grouped by slab, from one stable argsort of
+  ``owner * gamma + slab``.
+
+Slabs are enumerated in sweep order.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -42,9 +47,6 @@ class Multipartitioning:
     _neighbors: dict[tuple[int, int], np.ndarray] = dataclasses.field(
         init=False, repr=False, compare=False
     )
-    _tiles_by_rank: tuple[tuple[tuple[int, ...], ...], ...] = (
-        dataclasses.field(init=False, repr=False, compare=False)
-    )
     #: axis -> per-rank tiles grouped by slab, filled by tiles_of_in_slab
     _slab_index: dict[int, tuple[_Slabs, ...]] = dataclasses.field(
         init=False, repr=False, compare=False
@@ -65,17 +67,27 @@ class Multipartitioning:
             raise ValueError("owner table violates the neighbor property")
         object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "_neighbors", nbr)
-        tiles_by_rank: list[list[tuple[int, ...]]] = [
-            [] for _ in range(self.nprocs)
-        ]
-        for coord in np.ndindex(*owner.shape):
-            tiles_by_rank[owner[coord]].append(coord)
-        object.__setattr__(
-            self,
-            "_tiles_by_rank",
-            tuple(tuple(ts) for ts in tiles_by_rank),
-        )
         object.__setattr__(self, "_slab_index", {})
+
+    def _grouped_tiles(
+        self, key: np.ndarray, groups: int
+    ) -> list[tuple[tuple[int, ...], ...]]:
+        """Tile coordinates grouped by ``key`` (one int in ``[0, groups)``
+        per tile, row-major; every group equally large), lexicographic
+        within a group: a stable sort keeps the row-major order of ties."""
+        order = np.argsort(key, kind="stable")
+        coords = np.unravel_index(order, self.owner.shape)
+        tiles = list(zip(*(c.tolist() for c in coords)))
+        size = len(tiles) // groups
+        return [
+            tuple(tiles[g * size:(g + 1) * size]) for g in range(groups)
+        ]
+
+    @functools.cached_property
+    def _tiles_by_rank(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Every rank's tiles in lexicographic order, built on first use
+        (equally-many-to-one makes the groups equal)."""
+        return tuple(self._grouped_tiles(self.owner.ravel(), self.nprocs))
 
     # -- basic geometry ----------------------------------------------------
 
@@ -118,19 +130,19 @@ class Multipartitioning:
         """Tiles of ``rank`` whose coordinate along ``axis`` equals ``slab``
         (lexicographic order), looked up in a per-axis slab index built on
         first use."""
+        axis = range(self.ndim)[axis]
         gamma = self.owner.shape[axis]
-        axis %= self.ndim
         index = self._slab_index.get(axis)
         if index is None:
-            rows: list[_Slabs] = []
-            for tiles in self._tiles_by_rank:
-                slabs: list[list[tuple[int, ...]]] = [
-                    [] for _ in range(gamma)
-                ]
-                for t in tiles:
-                    slabs[t[axis]].append(t)
-                rows.append(tuple(tuple(ts) for ts in slabs))
-            index = self._slab_index[axis] = tuple(rows)
+            # the balance property makes every (rank, slab) group equal
+            coord = np.indices(self.owner.shape, sparse=True)[axis]
+            groups = self._grouped_tiles(
+                (self.owner * gamma + coord).ravel(), self.nprocs * gamma
+            )
+            index = self._slab_index[axis] = tuple(
+                tuple(groups[r * gamma:(r + 1) * gamma])
+                for r in range(self.nprocs)
+            )
         return index[rank][slab] if 0 <= slab < gamma else ()
 
     def slabs(self, axis: int, reverse: bool = False) -> Iterator[int]:
@@ -144,6 +156,7 @@ class Multipartitioning:
         (only when ``gamma_axis == 1``)."""
         if step not in (+1, -1):
             raise ValueError("step must be +1 or -1")
+        axis = range(self.ndim)[axis]
         return int(self._neighbors[(axis, step)][rank])
 
     # -- representations ----------------------------------------------------

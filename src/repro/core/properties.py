@@ -1,9 +1,15 @@
-"""Brute-force verifiers for the structural properties of multipartitionings.
+"""Verifiers for the structural properties of multipartitionings.
 
-These are deliberately written as straightforward (vectorized) enumerations so
-they can serve as an independent oracle for the constructive algorithms of
+They check the owner table itself, not the construction that produced it,
+so they serve as an independent oracle for the constructive algorithms of
 :mod:`repro.core.modmap` — the test-suite checks the paper's construction
-against these on hundreds of cases.
+against these on hundreds of cases.  Every check is a few whole-array
+numpy operations (a ``bincount`` per axis for balance, a scatter and a
+read-back per signed direction for the neighbor property), so
+:class:`~repro.core.mapping.Multipartitioning` can run all of them on every
+mapping it builds.  The per-tile and per-slab loop forms they replaced live
+on in ``tests/core/test_properties_oracle.py`` as the reference they are
+compared against.
 
 Definitions (Section 4 of the paper):
 
@@ -38,11 +44,15 @@ __all__ = [
 ]
 
 
+def _check_ranks(grid: np.ndarray, nprocs: int) -> None:
+    if grid.size and (grid.min() < 0 or grid.max() >= nprocs):
+        raise ValueError("rank grid contains out-of-range ranks")
+
+
 def image_counts(rank_grid: np.ndarray, nprocs: int) -> np.ndarray:
     """Histogram of tile owners: ``counts[q]`` = number of tiles of rank q."""
     grid = np.asarray(rank_grid)
-    if grid.size and (grid.min() < 0 or grid.max() >= nprocs):
-        raise ValueError("rank grid contains out-of-range ranks")
+    _check_ranks(grid, nprocs)
     return np.bincount(grid.ravel(), minlength=nprocs)
 
 
@@ -68,22 +78,34 @@ def has_balance_property(rank_grid: np.ndarray, nprocs: int) -> bool:
     equally-many-to-one (each slab gives every processor the same number of
     tiles, so every sweep phase is perfectly load-balanced)."""
     grid = np.asarray(rank_grid)
-    for axis in range(grid.ndim):
-        for k in range(grid.shape[axis]):
-            slice_grid = np.take(grid, k, axis=axis)
-            if not is_equally_many_to_one(slice_grid, nprocs):
-                return False
+    for axis, gamma in enumerate(grid.shape):
+        if gamma == 0:
+            continue
+        slab_tiles = grid.size // gamma
+        if slab_tiles == 0 or slab_tiles % nprocs != 0:
+            return False
+        counts = slab_counts(grid, nprocs, axis)
+        if not (counts == slab_tiles // nprocs).all():
+            return False
     return True
 
 
 def slab_counts(rank_grid: np.ndarray, nprocs: int, axis: int) -> np.ndarray:
     """Per-slab ownership histogram: shape ``(gamma_axis, nprocs)``; row k is
-    the tile count per rank within slab k along ``axis``."""
+    the tile count per rank within slab k along ``axis``.
+
+    One ``bincount`` over the key ``slab * nprocs + owner``."""
     grid = np.asarray(rank_grid)
-    out = np.empty((grid.shape[axis], nprocs), dtype=np.int64)
-    for k in range(grid.shape[axis]):
-        out[k] = image_counts(np.take(grid, k, axis=axis), nprocs)
-    return out
+    _check_ranks(grid, nprocs)
+    axis = range(grid.ndim)[axis]
+    gamma = grid.shape[axis]
+    slab = np.arange(gamma, dtype=np.int64).reshape(
+        [-1 if i == axis else 1 for i in range(grid.ndim)]
+    )
+    keys = slab * nprocs + grid
+    return np.bincount(
+        keys.ravel(), minlength=gamma * nprocs
+    ).reshape(gamma, nprocs)
 
 
 def neighbor_table(
@@ -102,29 +124,31 @@ def neighbor_table(
     additionally satisfies the periodic version exactly when
     ``b_axis * M[:, axis] == 0 (mod m)`` — true for diagonal
     multipartitionings, not for general ones.
+
+    Per direction, the owners ``a`` and neighbor owners ``b`` of all
+    adjacent tile pairs are scattered as ``succ[a] = b``; the property
+    holds exactly when every pair then reads back, ``succ[a] == b``.
     """
     grid = np.asarray(rank_grid)
     nprocs = int(grid.max()) + 1 if grid.size else 0
     table: dict[tuple[int, int], np.ndarray] = {}
     for axis in range(grid.ndim):
+        head = [slice(None)] * grid.ndim
+        tail = [slice(None)] * grid.ndim
+        head[axis] = slice(0, -1)
+        tail[axis] = slice(1, None)
         for step in (+1, -1):
-            succ = np.full(nprocs, -1, dtype=np.int64)
-            shifted = np.roll(grid, -step, axis=axis)
             if periodic:
-                pairs = zip(grid.ravel(), shifted.ravel())
+                owners = grid
+                nbrs = np.roll(grid, -step, axis=axis)
+            elif step == 1:
+                owners, nbrs = grid[tuple(head)], grid[tuple(tail)]
             else:
-                sel = [slice(None)] * grid.ndim
-                sel[axis] = slice(0, -1) if step == 1 else slice(1, None)
-                sel_t = tuple(sel)
-                pairs = zip(grid[sel_t].ravel(), shifted[sel_t].ravel())
-            ok = True
-            for owner, nbr in pairs:
-                if succ[owner] == -1:
-                    succ[owner] = nbr
-                elif succ[owner] != nbr:
-                    ok = False
-                    break
-            if not ok:
+                owners, nbrs = grid[tuple(tail)], grid[tuple(head)]
+            owners, nbrs = owners.ravel(), nbrs.ravel()
+            succ = np.full(nprocs, -1, dtype=np.int64)
+            succ[owners] = nbrs
+            if not (succ[owners] == nbrs).all():
                 return None
             table[(axis, step)] = succ
     return table

@@ -49,6 +49,36 @@ class TestBTProblem:
         assert bt_class("S").shape == (12, 12, 12)
         assert bt_class("B", steps=3).steps == 3
 
+    def test_memoized_coefficients_reject_writes(self):
+        for op in BTProblem(shape=(9, 8, 7)).step_schedule():
+            if isinstance(op, BlockSweepOp):
+                for coeffs in (op.mult, op.scale):
+                    assert not coeffs.flags.writeable
+                    with pytest.raises(ValueError):
+                        coeffs[0, 0, 0] = 1.0
+
+    def test_equal_extents_share_identical_ops(self):
+        one, two = BTProblem(shape=(10, 8, 10)), BTProblem(shape=(8, 10, 7))
+        for a_axis, b_axis in ((0, 1), (2, 1), (1, 0)):
+            ops_a, ops_b = one.solve_ops(a_axis), two.solve_ops(b_axis)
+            assert len(ops_a) == len(ops_b) == 2
+            for a, b in zip(ops_a, ops_b):
+                assert a.mult is b.mult and a.scale is b.scale
+                assert (a.reverse, a.flops_per_point) == (
+                    b.reverse, b.flops_per_point
+                )
+                assert (a.axis, b.axis) == (a_axis, b_axis)
+                assert a.phase == f"{'xyz'[a_axis]}_solve"
+
+    def test_memoized_ops_match_a_fresh_factorization(self):
+        from repro.sweep.ops import block_thomas_ops
+
+        prob = BTProblem(shape=(11, 6, 6))
+        fresh = block_thomas_ops(11, 0, *prob.blocks())
+        for memo, ref in zip(prob.solve_ops(0), fresh):
+            np.testing.assert_array_equal(memo.mult, ref.mult)
+            np.testing.assert_array_equal(memo.scale, ref.scale)
+
 
 class TestBTPlan:
     def test_component_axis_never_cut(self):

@@ -8,7 +8,7 @@ and the same message when the planner rejects the request.
 import numpy as np
 import pytest
 
-from repro.apps.planning import plan_app
+from repro.apps.planning import app_problem, plan_app
 from repro.core.diagonal import diagonal_applicable
 from repro.faults import chaos_report
 from repro.obs import run_profiled_app
@@ -119,3 +119,19 @@ def test_rejections_carry_the_planner_message(app, shape, p):
         )
     else:
         assert message == f"no diagonal multipartitioning of p={p} in 3-D"
+
+
+@pytest.mark.parametrize("app", ["bt", "adi"])
+def test_stencil_rhs_is_sp_alone(app):
+    with pytest.raises(ValueError) as planned:
+        app_problem(app, (8, 8, 8), stencil_rhs=True)
+    assert str(planned.value) == "stencil_rhs is SP's alone"
+    with pytest.raises(ValueError, match="stencil_rhs is SP's alone"):
+        plan_app(app, (8, 8, 8), 4, None, stencil_rhs=True)
+    report = verify_config(app, (8, 8, 8), 4, stencil_rhs=True)
+    assert not report.ok
+    (violation,) = report.violations()
+    assert violation.kind == "unplannable"
+    assert violation.message == "stencil_rhs is SP's alone"
+    # without the flag the same configuration verifies clean
+    assert verify_config(app, (8, 8, 8), 4).ok

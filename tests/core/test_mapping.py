@@ -97,6 +97,19 @@ class TestQueries:
                         if 0 <= t[axis] < mp8.gammas[axis]:
                             assert mp8.rank_of(tuple(t)) == nbr
 
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1, -2, -3])
+    def test_neighbor_rank_normalizes_axis(self, mp8, axis):
+        """A negative axis counts from the end, as in tiles_of_in_slab."""
+        for rank in range(8):
+            for step in (+1, -1):
+                assert mp8.neighbor_rank(rank, axis, step) == (
+                    mp8.neighbor_rank(rank, axis % 3, step)
+                )
+
+    def test_neighbor_rank_rejects_out_of_range_axis(self, mp8):
+        with pytest.raises(IndexError):
+            mp8.neighbor_rank(0, 3, +1)
+
     def test_neighbor_rank_rejects_bad_step(self, mp8):
         with pytest.raises(ValueError):
             mp8.neighbor_rank(0, 0, 2)

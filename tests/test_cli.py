@@ -131,6 +131,14 @@ class TestExtensionCommands:
         assert "optimal gammas" in out
         assert "2x2x2" in out
 
+    def test_sensitivity_2d(self, capsys):
+        out = run_cli(
+            capsys,
+            "sensitivity", "--shape", "64,64", "-p", "4",
+            "--parameter", "k2", "--values", "1e-6,1e-3",
+        )
+        assert out.count("4x4") == 2
+
     def test_simulate(self, capsys):
         out = run_cli(
             capsys, "simulate", "--shape", "12,12,12", "-p", "4",

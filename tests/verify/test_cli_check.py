@@ -40,6 +40,26 @@ class TestCheckCommand:
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
 
+    def test_stencil_rhs_rejected_for_other_apps(self, capsys):
+        for app in ("adi", "bt"):
+            code = main(
+                ["check", "--app", app, "--shape", "8x8x8", "-p", "4",
+                 "--stencil-rhs", "--json"]
+            )
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "check: stencil_rhs is SP's alone\n"
+
+    def test_stencil_rhs_accepted_for_sp(self, capsys):
+        code = main(
+            ["check", "--app", "sp", "--shape", "8x8x8", "-p", "4",
+             "--stencil-rhs", "--json"]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["stencil_rhs"] is True
+
 
 class TestSweepVerifyFlag:
     def test_sweep_verify_runs_clean(self, capsys, tmp_path):
