@@ -17,6 +17,7 @@ from repro.apps.sp import sp_class
 from repro.apps.workloads import random_field
 from repro.core.api import plan_multipartitioning
 from repro.simmpi.machine import origin2000
+from repro.sweep.blockgrid import BlockGridExecutor
 from repro.sweep.modeled import (
     best_wavefront_chunks,
     multipart_time,
@@ -25,7 +26,6 @@ from repro.sweep.modeled import (
 from repro.sweep.multipart import MultipartExecutor
 from repro.sweep.sequential import run_sequential
 from repro.sweep.transpose import TransposeExecutor
-from repro.sweep.wavefront import WavefrontExecutor
 
 
 def test_three_strategies_modeled(benchmark, report):
@@ -83,7 +83,7 @@ def test_three_strategies_simulated(p, benchmark, report):
         )
 
     out_m, res_m = benchmark(run_multipart)
-    out_w, res_w = WavefrontExecutor(p, prob.shape, machine, chunks=6).run(
+    out_w, res_w = BlockGridExecutor((p,), prob.shape, machine, chunks=6).run(
         field, sched
     )
     out_t, res_t = TransposeExecutor(p, prob.shape, machine).run(field, sched)

@@ -12,8 +12,9 @@ simmpi
     Deterministic discrete-event message-passing simulator (the machine
     substrate replacing the paper's SGI Origin 2000 + MPI).
 sweep
-    Line-sweep execution engines: multipartitioned, wavefront (static block)
-    and transpose (dynamic block) strategies, in real-data and modeled modes.
+    Line-sweep execution engines: multipartitioned, block-grid wavefront
+    (static block) and transpose (dynamic block) strategies, in real-data
+    and modeled modes.
 hpf
     dHPF-lite: templates, distribution directives, shadow regions and the
     communication vectorization/aggregation planner (Section 5).

@@ -4,8 +4,11 @@ Real-data executors (all interpret the same :mod:`repro.sweep.ops`
 schedules, so results are directly comparable):
 
 * :class:`MultipartExecutor` — the paper's strategy;
-* :class:`WavefrontExecutor` — static block unipartitioning baseline;
-* :class:`TransposeExecutor` — dynamic block (transpose) baseline;
+* :class:`BlockGridExecutor` — static block partitioning on a processor
+  grid with pipelined wavefront sweeps; the one-axis grid
+  ``(1,) * k + (p,)`` is the classic wavefront baseline;
+* :class:`TransposeExecutor` — dynamic block (transpose) baseline: the
+  one-axis block grid with a transpose as its cut-axis sweep;
 * :func:`run_sequential` — single-processor ground truth.
 
 Modeled mode (:mod:`repro.sweep.modeled`) provides closed-form times for
@@ -15,13 +18,12 @@ large problem instances.
 from .modeled import (
     best_processor_count_modeled,
     best_wavefront_chunks,
+    blockgrid_time,
     multipart_time,
     transpose_time,
-    wavefront_time,
 )
 from .multipart import MultipartExecutor
-from .blockgrid import BlockGridExecutor, blockgrid_time
-from .halo import slab_stencil
+from .blockgrid import BlockGridExecutor
 from .ops import (
     BinaryPointwiseOp,
     BlockSweepOp,
@@ -39,11 +41,9 @@ from .recurrence import affine_scan, thomas_factor, thomas_solve
 from .sequential import run_sequential, sequential_time
 from .tiles import TileGrid, axis_extents
 from .transpose import TransposeExecutor
-from .wavefront import WavefrontExecutor
 
 __all__ = [
     "MultipartExecutor",
-    "WavefrontExecutor",
     "TransposeExecutor",
     "BlockGridExecutor",
     "blockgrid_time",
@@ -59,7 +59,6 @@ __all__ = [
     "StencilOp",
     "SweepOp",
     "star_laplacian",
-    "slab_stencil",
     "thomas_ops",
     "affine_scan",
     "thomas_factor",
@@ -67,7 +66,6 @@ __all__ = [
     "TileGrid",
     "axis_extents",
     "multipart_time",
-    "wavefront_time",
     "transpose_time",
     "best_wavefront_chunks",
     "best_processor_count_modeled",

@@ -1,22 +1,17 @@
-"""Multi-axis static block partitioning with wavefront sweeps.
+"""Static block partitioning on a processor grid — both block baselines.
 
-:class:`WavefrontExecutor` cuts one dimension; real static block
-parallelizations of 3-D codes cut two (a ``p1 x p2`` processor grid over
-axes 0 and 1, axis 2 local).  Sweeps then behave per axis:
-
-* along a partitioned axis: every line crosses one *chain* of the grid
-  (a row or column of processors) — the chain pipelines chunk by chunk
-  exactly like the 1-D wavefront, and the ``p_other`` chains run
-  concurrently;
-* along an unpartitioned axis: fully local.
-
-This is the strongest block-partitioning baseline for 3-D line sweeps and
-the shape against which the paper's 3-D multipartitionings were
-historically compared (van der Wijngaart's "static" variants).
+A block grid is a rectilinear partition with one processor count per
+leading axis; axes past the grid stay uncut.  The 1-D static block
+("wavefront") baseline is the one-axis grid ``(1,) * k + (p,)``, a ``p1 x
+p2`` grid over axes 0 and 1 is the strongest static block baseline for 3-D
+line sweeps (van der Wijngaart's "static" variants), and
+:class:`~repro.sweep.transpose.TransposeExecutor` (dynamic block) is the
+one-axis grid with a different cut-axis sweep.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Generator
 
 import numpy as np
@@ -25,6 +20,7 @@ from repro.simmpi.comm import Comm
 from repro.simmpi.engine import run_programs
 from repro.simmpi.machine import MachineModel
 
+from .halo import apply_star, face_copy
 from .ops import (
     BinaryPointwiseOp,
     BlockSweepOp,
@@ -34,74 +30,84 @@ from .ops import (
     SweepOp,
     scan_op,
 )
-from .halo import apply_star, face_copy
 from .slabops import as_named, local_slab_op, unwrap_named
 from .tiles import axis_extents
 
-__all__ = ["BlockGridExecutor", "blockgrid_time"]
+__all__ = ["BlockGridExecutor"]
 
 
 class BlockGridExecutor:
-    """Static ``p1 x p2`` block partitioning of axes (0, 1) with pipelined
-    wavefront sweeps along both partitioned axes."""
+    """Static block partitioning: ``grid[a]`` contiguous blocks along each
+    leading axis ``a``, one block per rank, ranks numbered row-major over
+    the grid (as :meth:`repro.hpf.distribution.ResolvedBlock.owner_of`).
+
+    The one rule: a sweep along an axis whose count is greater than 1 runs
+    the cut-axis sweep :meth:`_cut_sweep` — here a wavefront pipelined
+    along the chain of ranks that differ only in that axis's coordinate,
+    chunked over the first axis other than the sweep axis, so the chains
+    run concurrently and rank ``r`` starts chunk ``c`` as soon as its
+    upstream neighbour finishes it.  Every other sweep is one local scan
+    with one compute charge.  Stencils exchange faces with both neighbours
+    on every cut axis, with tags ``tag_base + 10 * axis + side`` as in
+    :class:`~repro.sweep.multipart.MultipartExecutor`.
+
+    Small chunks shorten pipeline fill and drain but pay more per-message
+    overhead — the tension the paper's Section 1 describes.
+    """
 
     def __init__(
         self,
-        grid: tuple[int, int],
+        grid: tuple[int, ...],
         shape: tuple[int, ...],
         machine: MachineModel,
         chunks: int = 8,
         record_events: bool = False,
     ):
         shape = tuple(int(s) for s in shape)
+        grid = tuple(int(g) for g in grid)
         if len(shape) < 2:
             raise ValueError("need at least 2 dimensions")
-        p1, p2 = int(grid[0]), int(grid[1])
-        if p1 < 1 or p2 < 1:
-            raise ValueError("grid factors must be >= 1")
-        if p1 > shape[0] or p2 > shape[1]:
+        if len(grid) > len(shape):
+            raise ValueError(
+                f"grid {grid} has more axes than the array shape {shape}"
+            )
+        if any(g < 1 for g in grid):
+            raise ValueError("grid counts must be >= 1")
+        if any(g > n for g, n in zip(grid, shape)):
             raise ValueError("grid exceeds array extents")
         if chunks < 1:
             raise ValueError("chunks must be >= 1")
-        self.grid = (p1, p2)
-        self.nprocs = p1 * p2
+        self.grid = grid + (1,) * (len(shape) - len(grid))
+        self.nprocs = math.prod(self.grid)
         self.shape = shape
         self.machine = machine
         self.chunks = chunks
         self.record_events = record_events
-        self._spans0 = axis_extents(shape[0], p1)
-        self._spans1 = axis_extents(shape[1], p2)
+        self._spans = [axis_extents(n, g) for n, g in zip(shape, self.grid)]
+        # rank distance between neighbours along each axis (row-major)
+        self._strides = [
+            math.prod(self.grid[a + 1:]) for a in range(len(shape))
+        ]
 
-    # -- rank geometry -------------------------------------------------------
+    def _coords(self, rank: int) -> list[int]:
+        return [rank // s % g for s, g in zip(self._strides, self.grid)]
 
-    def _coords(self, rank: int) -> tuple[int, int]:
-        return divmod(rank, self.grid[1])
-
-    def _rank(self, r: int, c: int) -> int:
-        return r * self.grid[1] + c
-
-    def _rank_sel(self, rank: int, ndim: int) -> tuple:
-        r, c = self._coords(rank)
-        lo0, hi0 = self._spans0[r]
-        lo1, hi1 = self._spans1[c]
-        sel: list = [slice(None)] * ndim
-        sel[0] = slice(lo0, hi0)
-        sel[1] = slice(lo1, hi1)
-        return tuple(sel)
+    def _rank_sel(self, rank: int) -> tuple:
+        return tuple(
+            slice(*spans[c])
+            for spans, c in zip(self._spans, self._coords(rank))
+        )
 
     def run(self, arrays, schedule) -> "tuple":
         single, named = as_named(arrays)
+        sels = [self._rank_sel(rank) for rank in range(self.nprocs)]
         per_rank: list[dict] = [{} for _ in range(self.nprocs)]
-        ndim = None
         for name, array in named.items():
             array = np.asarray(array, dtype=np.float64)
             if array.shape != self.shape:
                 raise ValueError("array shape mismatch")
-            ndim = array.ndim
-            for rank in range(self.nprocs):
-                per_rank[rank][name] = np.array(
-                    array[self._rank_sel(rank, ndim)], copy=True
-                )
+            for blocks, sel in zip(per_rank, sels):
+                blocks[name] = np.array(array[sel], copy=True)
         programs = [
             self._rank_program(Comm(rank, self.nprocs), per_rank[rank],
                                schedule)
@@ -113,14 +119,10 @@ class BlockGridExecutor:
         out = {}
         for name in named:
             full = np.empty(self.shape, dtype=np.float64)
-            for rank in range(self.nprocs):
-                full[self._rank_sel(rank, len(self.shape))] = (
-                    per_rank[rank][name]
-                )
+            for blocks, sel in zip(per_rank, sels):
+                full[sel] = blocks[name]
             out[name] = full
         return unwrap_named(single, out), result
-
-    # -- rank program -----------------------------------------------------------
 
     def _rank_program(
         self, comm: Comm, blocks: dict, schedule
@@ -146,7 +148,10 @@ class BlockGridExecutor:
             elif isinstance(op, (SweepOp, BlockSweepOp)):
                 block = get(op.array)
                 axis = op.axis % len(self.shape)
-                if axis >= 2:
+                if self.grid[axis] > 1:
+                    yield from self._cut_sweep(comm, block, op, axis,
+                                               op_index)
+                else:
                     n = self.shape[axis]
                     scan_op(block, op, 0, n, n, carry=None)
                     yield from comm.compute(
@@ -155,44 +160,29 @@ class BlockGridExecutor:
                         ),
                         points=block.size,
                     )
-                else:
-                    yield from self._pipelined(comm, block, op, axis,
-                                               op_index)
             else:
                 raise TypeError(f"unsupported op {op!r}")
         return comm.rank
 
-    def _pipelined(
+    def _cut_sweep(
         self, comm: Comm, block: np.ndarray, op, axis: int, op_index: int
     ) -> Generator:
-        """Wavefront along partitioned axis 0 or 1: the chain is this
-        rank's row/column of the grid; chunk over the *other* partitioned
-        axis (keeping chunk traffic within the chain)."""
-        r, c = self._coords(comm.rank)
-        if axis == 0:
-            chain_pos, chain_len = r, self.grid[0]
-            lo, hi = self._spans0[r]
-
-            def chain_rank(pos: int) -> int:
-                return self._rank(pos, c)
-        else:
-            chain_pos, chain_len = c, self.grid[1]
-            lo, hi = self._spans1[c]
-
-            def chain_rank(pos: int) -> int:
-                return self._rank(r, pos)
-
+        """Wavefront along cut ``axis``, chunked over the first other
+        axis; the carry of each chunk travels down the chain."""
+        pos = self._coords(comm.rank)[axis]
+        chain_len = self.grid[axis]
+        stride = self._strides[axis]
+        lo, hi = self._spans[axis][pos]
         n_global = self.shape[axis]
-        chunk_axis = 1 - axis  # the other partitioned axis (local extent)
+        chunk_axis = 0 if axis != 0 else 1
         n_chunk = block.shape[chunk_axis]
-        chunks = min(self.chunks, n_chunk)
-        spans = axis_extents(n_chunk, chunks)
+        spans = axis_extents(n_chunk, min(self.chunks, n_chunk))
 
         step = -1 if op.reverse else +1
-        first = chain_pos == (0 if step == 1 else chain_len - 1)
-        last = chain_pos == (chain_len - 1 if step == 1 else 0)
-        upstream = chain_rank(chain_pos - step) if not first else -1
-        downstream = chain_rank(chain_pos + step) if not last else -1
+        first = pos == (0 if step == 1 else chain_len - 1)
+        last = pos == (chain_len - 1 if step == 1 else 0)
+        upstream = comm.rank - step * stride
+        downstream = comm.rank + step * stride
         tag_base = (op_index + 1) * 100_000
 
         for k, (clo, chi) in enumerate(spans):
@@ -218,104 +208,44 @@ class BlockGridExecutor:
         block: np.ndarray,
         op: StencilOp,
         op_index: int,
-        out: np.ndarray | None = None,
+        out: np.ndarray,
     ) -> Generator:
-        """Halo exchange across both partitioned axes, one after the other
-        (star stencil: axis fills are independent)."""
-        r, c = self._coords(comm.rank)
+        """Halo exchange across every cut axis, one after the other (star
+        stencil: axis fills are independent); sends go first (eager), so no
+        exchange can deadlock."""
+        coords = self._coords(comm.rank)
         reach = op.pad_widths(block.ndim)
         tag_base = (op_index + 1) * 100_000 + 50_000
 
         ghosts: dict[tuple[int, int], np.ndarray] = {}
-        for axis, (pos, length, other) in (
-            (0, (r, self.grid[0], c)),
-            (1, (c, self.grid[1], r)),
-        ):
+        for axis, length in enumerate(self.grid):
+            if length == 1:
+                continue
+            pos, stride = coords[axis], self._strides[axis]
             lo_w, hi_w = reach[axis]
-
-            def nbr(p_: int) -> int:
-                return (
-                    self._rank(p_, other) if axis == 0 else self._rank(
-                        other, p_
-                    )
-                )
-
+            tag = tag_base + 10 * axis
             if lo_w and pos + 1 < length:
                 yield from comm.send(
-                    face_copy(block, axis, 0, lo_w), nbr(pos + 1),
-                    tag_base + 10 * axis,
+                    face_copy(block, axis, 0, lo_w), comm.rank + stride, tag
                 )
-            if hi_w and pos - 1 >= 0:
+            if hi_w and pos > 0:
                 yield from comm.send(
-                    face_copy(block, axis, 1, hi_w), nbr(pos - 1),
-                    tag_base + 10 * axis + 1,
+                    face_copy(block, axis, 1, hi_w), comm.rank - stride,
+                    tag + 1,
                 )
-            if lo_w and pos - 1 >= 0:
+            if lo_w and pos > 0:
                 ghosts[(axis, 0)] = yield from comm.recv(
-                    nbr(pos - 1), tag_base + 10 * axis
+                    comm.rank - stride, tag
                 )
             if hi_w and pos + 1 < length:
                 ghosts[(axis, 1)] = yield from comm.recv(
-                    nbr(pos + 1), tag_base + 10 * axis + 1
+                    comm.rank + stride, tag + 1
                 )
 
-        apply_star(op, block, reach, ghosts, block if out is None else out)
+        apply_star(op, block, reach, ghosts, out)
         yield from comm.compute(
             self.machine.compute_time(
                 block.size, op.flops_per_point, tiles=1
             ),
             points=block.size,
         )
-
-
-def blockgrid_time(
-    shape: tuple[int, ...],
-    grid: tuple[int, int],
-    machine: MachineModel,
-    schedule,
-    chunks: int = 8,
-) -> float:
-    """Closed-form model of :class:`BlockGridExecutor`: per partitioned
-    axis, a ``chunks + chain - 1``-stage pipeline of chunk compute + chunk
-    carry; unpartitioned axes and pointwise ops are pure compute."""
-    from .modeled import _msg_time
-
-    eta = float(np.prod(shape))
-    p1, p2 = grid
-    p = p1 * p2
-    total = 0.0
-    for op in schedule:
-        if isinstance(op, (PointwiseOp, StencilOp)):
-            total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
-            if isinstance(op, StencilOp):
-                for axis, chain in ((0, p1), (1, p2)):
-                    if chain == 1:
-                        continue
-                    lo, hi = op.reach[axis]
-                    share = eta / (shape[axis] * p)
-                    for width in (lo, hi):
-                        if width:
-                            total += _msg_time(
-                                machine,
-                                width * share * machine.itemsize,
-                                concurrent=p,
-                            )
-            continue
-        axis = op.axis % len(shape)
-        if axis >= 2 or (axis == 0 and p1 == 1) or (axis == 1 and p2 == 1):
-            total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
-            continue
-        chain = p1 if axis == 0 else p2
-        other_local = shape[1 - axis] // (p2 if axis == 0 else p1)
-        eff_chunks = min(chunks, max(1, other_local))
-        chunk_points = eta / (p * eff_chunks)
-        carry_elems = eta / (shape[axis] * (p2 if axis == 0 else p1)) / (
-            eff_chunks
-        )
-        stage = machine.compute_time(
-            chunk_points, op.flops_per_point, tiles=1
-        ) + _msg_time(
-            machine, carry_elems * machine.itemsize, concurrent=p
-        )
-        total += (eff_chunks + chain - 1) * stage
-    return total

@@ -2,30 +2,19 @@
 
 :func:`face_copy` cuts the boundary planes a neighbour needs as ghosts and
 :func:`apply_star` pads a block with the received ghosts and applies the
-stencil; the multipartitioned, block-grid and slab executors differ only in
-which faces travel to which rank.
-
-:func:`slab_stencil` is the exchange for 1-D (slab) partitionings, shared by
-the wavefront and transpose baseline executors.  A slab owns the full extent
-of every axis except ``part_axis``, so a star stencil needs ghosts only
-across the two slab faces: rank ``r`` sends its trailing planes to ``r+1``
-(their low ghosts) and its leading planes to ``r-1`` (their high ghosts).
-All other axes are globally complete, so their padding is the global zero
-boundary.
+stencil.  The multipartitioned and block-grid executors differ only in
+which faces travel to which rank: a tile's faces go to its neighbour
+processor along each cut axis, a block's to the adjacent blocks of the
+grid.  Padding without a ghost is the global zero boundary.
 """
 
 from __future__ import annotations
 
-from typing import Generator
-
 import numpy as np
-
-from repro.simmpi.comm import Comm
-from repro.simmpi.machine import MachineModel
 
 from .ops import StencilOp
 
-__all__ = ["apply_star", "face_copy", "slab_stencil"]
+__all__ = ["apply_star", "face_copy"]
 
 
 def face_copy(
@@ -77,38 +66,3 @@ def apply_star(
         )
     out[...] = result
 
-
-def slab_stencil(
-    comm: Comm,
-    slab: np.ndarray,
-    op: StencilOp,
-    part_axis: int,
-    machine: MachineModel,
-    tag_base: int,
-    out: np.ndarray | None = None,
-) -> Generator:
-    """Apply a star stencil to this rank's slab, exchanging the two
-    ``part_axis`` faces with the neighbouring ranks.  Writes the result to
-    ``out`` (default: in place) and charges compute time."""
-    reach = op.pad_widths(slab.ndim)
-    low_w, high_w = reach[part_axis]
-    rank, size = comm.rank, comm.size
-    # sends first (eager), then receives — no deadlock possible
-    if low_w and rank + 1 < size:
-        yield from comm.send(
-            face_copy(slab, part_axis, 0, low_w), rank + 1, tag_base
-        )
-    if high_w and rank - 1 >= 0:
-        yield from comm.send(
-            face_copy(slab, part_axis, 1, high_w), rank - 1, tag_base + 1
-        )
-    ghosts = {}
-    if low_w and rank - 1 >= 0:
-        ghosts[(part_axis, 0)] = yield from comm.recv(rank - 1, tag_base)
-    if high_w and rank + 1 < size:
-        ghosts[(part_axis, 1)] = yield from comm.recv(rank + 1, tag_base + 1)
-    apply_star(op, slab, reach, ghosts, slab if out is None else out)
-    yield from comm.compute(
-        machine.compute_time(slab.size, op.flops_per_point, tiles=1),
-        points=slab.size,
-    )

@@ -1,4 +1,5 @@
-"""Closed-form modeled execution times for the three strategies.
+"""Closed-form modeled execution times: multipartitionings, block grids
+and transposes.
 
 Used for problem sizes too large to push through the real-data simulator
 (e.g. the class-B 102**3 runs of Table 1).  The formulas are the same
@@ -12,51 +13,19 @@ All functions return the modeled time of executing a *schedule* (list of
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.cost import NetworkScaling
 from repro.core.mapping import Multipartitioning
 from repro.simmpi.machine import MachineModel
 
-from .ops import PointwiseOp, StencilOp
-
-
-def _stencil_halo_time(
-    machine: MachineModel,
-    shape: tuple[int, ...],
-    op: StencilOp,
-    p: int,
-    gammas: tuple[int, ...] | None = None,
-    part_axis: int | None = None,
-) -> float:
-    """Halo-exchange cost of one StencilOp.
-
-    Multipartitioned (``gammas``): one aggregated message per rank per
-    (axis, side) whose axis is cut, carrying that rank's share of the face.
-    Slab-partitioned (``part_axis``): two slab-face messages per rank.
-    """
-    eta = float(np.prod(shape))
-    total = 0.0
-    axes = (
-        [ax for ax in range(len(shape)) if gammas[ax] > 1]
-        if gammas is not None
-        else ([part_axis] if p > 1 else [])
-    )
-    for ax in axes:
-        lo, hi = op.reach[ax]
-        share = eta / (shape[ax] * p)  # per-rank face elements per plane
-        for width in (lo, hi):
-            if width:
-                total += _msg_time(
-                    machine,
-                    width * share * machine.itemsize,
-                    concurrent=p,
-                )
-    return total
+from .ops import BlockSweepOp, PointwiseOp, StencilOp, SweepOp
 
 __all__ = [
     "multipart_time",
-    "wavefront_time",
+    "blockgrid_time",
     "transpose_time",
     "best_wavefront_chunks",
     "best_processor_count_modeled",
@@ -81,6 +50,32 @@ def _msg_time(
         + machine.recv_cpu_time(int(nbytes))
         + wire
     )
+
+
+def _stencil_halo_time(
+    machine: MachineModel,
+    shape: tuple[int, ...],
+    op: StencilOp,
+    p: int,
+    cut_axes: list[int],
+) -> float:
+    """Halo-exchange cost of one StencilOp: one message per rank per
+    (axis, side) of every cut axis, carrying that rank's share of the face
+    (``eta / (shape[axis] * p)`` elements per plane) — the aggregated
+    multipartitioned exchange and the block-grid exchange alike."""
+    eta = float(np.prod(shape))
+    total = 0.0
+    for ax in cut_axes:
+        lo, hi = op.reach[ax]
+        share = eta / (shape[ax] * p)  # per-rank face elements per plane
+        for width in (lo, hi):
+            if width:
+                total += _msg_time(
+                    machine,
+                    width * share * machine.itemsize,
+                    concurrent=p,
+                )
+    return total
 
 
 def multipart_time(
@@ -114,7 +109,10 @@ def multipart_time(
             total += machine.compute_time(
                 eta / p, op.flops_per_point, tiles=tiles_per_rank
             )
-            total += _stencil_halo_time(machine, shape, op, p, gammas=gammas)
+            total += _stencil_halo_time(
+                machine, shape, op, p,
+                [ax for ax in range(len(shape)) if gammas[ax] > 1],
+            )
             continue
         axis = op.axis % len(shape)
         g = gammas[axis]
@@ -141,47 +139,49 @@ def multipart_time(
     return total
 
 
-def wavefront_time(
+def blockgrid_time(
     shape: tuple[int, ...],
-    nprocs: int,
+    grid: tuple[int, ...],
     machine: MachineModel,
     schedule,
-    part_axis: int = 0,
     chunks: int = 8,
 ) -> float:
-    """Modeled time under static block unipartitioning with ``chunks``-deep
-    pipelining of sweeps along the partitioned axis.
+    """Closed-form model of :class:`~repro.sweep.blockgrid.BlockGridExecutor`
+    on ``grid`` (one processor count per leading axis, later axes uncut).
 
-    A pipelined sweep behaves like ``chunks + p - 1`` stages, each costing
-    one chunk of compute plus one chunk-carry message.
+    A sweep along a cut axis behaves like ``chunks + count - 1`` pipeline
+    stages, each costing one chunk of compute plus one chunk-carry message;
+    the chunks split the first other axis.  Every other op is pure compute,
+    plus one halo message per (cut axis, side) for a stencil.
     """
     eta = float(np.prod(shape))
-    p = nprocs
+    grid = tuple(grid) + (1,) * (len(shape) - len(grid))
+    p = math.prod(grid)
+    cut_axes = [ax for ax, g in enumerate(grid) if g > 1]
     total = 0.0
-    chunk_axis_len = shape[0] if part_axis != 0 else shape[1]
-    chunks = min(chunks, chunk_axis_len)
     for op in schedule:
-        if isinstance(op, PointwiseOp):
+        chain = (
+            grid[op.axis % len(shape)]
+            if isinstance(op, (SweepOp, BlockSweepOp))
+            else 1
+        )
+        if chain == 1:
             total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
-            continue
-        if isinstance(op, StencilOp):
-            total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
-            total += _stencil_halo_time(
-                machine, shape, op, p, part_axis=part_axis
-            )
+            if isinstance(op, StencilOp):
+                total += _stencil_halo_time(machine, shape, op, p, cut_axes)
             continue
         axis = op.axis % len(shape)
-        if axis != part_axis:
-            total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
-            continue
-        chunk_points = eta / (p * chunks)
-        carry_elems = eta / (shape[axis] * chunks)  # chunk of the cut plane
+        chunk_axis = 0 if axis != 0 else 1
+        eff_chunks = min(chunks, max(1, shape[chunk_axis] // grid[chunk_axis]))
+        chunk_points = eta / (p * eff_chunks)
+        # this rank's chunk of the cut plane
+        carry_elems = eta / (shape[axis] * (p // chain)) / eff_chunks
         stage = machine.compute_time(
             chunk_points, op.flops_per_point, tiles=1
         ) + _msg_time(
             machine, carry_elems * machine.itemsize, concurrent=p
         )
-        total += (chunks + p - 1) * stage
+        total += (eff_chunks + chain - 1) * stage
     return total
 
 
@@ -193,13 +193,15 @@ def best_wavefront_chunks(
     part_axis: int = 0,
     max_chunks: int = 4096,
 ) -> tuple[int, float]:
-    """Pick the pipeline granularity minimizing modeled wavefront time —
-    the tuning knob a careful hand coder would sweep."""
+    """Pick the pipeline granularity minimizing the modeled time of the
+    one-axis block grid cutting ``part_axis`` into ``nprocs`` blocks — the
+    tuning knob a careful hand coder would sweep."""
     limit = shape[0] if part_axis != 0 else shape[1]
+    grid = (1,) * part_axis + (nprocs,)
     best = (1, float("inf"))
     c = 1
     while c <= min(limit, max_chunks):
-        t = wavefront_time(shape, nprocs, machine, schedule, part_axis, c)
+        t = blockgrid_time(shape, grid, machine, schedule, c)
         if t < best[1]:
             best = (c, t)
         c *= 2
@@ -226,7 +228,7 @@ def transpose_time(
         if isinstance(op, StencilOp):
             total += machine.compute_time(eta / p, op.flops_per_point, tiles=1)
             total += _stencil_halo_time(
-                machine, shape, op, p, part_axis=part_axis
+                machine, shape, op, p, [part_axis] if p > 1 else []
             )
             continue
         axis = op.axis % len(shape)

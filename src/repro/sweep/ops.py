@@ -1,8 +1,8 @@
 """Operation descriptors for sweep schedules.
 
 A *schedule* is a list of these ops; every executor (multipartitioned,
-wavefront, transpose, sequential) interprets the same schedule, which is how
-the test-suite proves all strategies compute the same thing.
+block grid, transpose, sequential) interprets the same schedule, which is
+how the test-suite proves all strategies compute the same thing.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Shared dispatch of the communication-free ops: :func:`apply_local` updates
-one rank's aligned blocks (a whole slab in the wavefront, transpose and
-block-grid executors, one tile at a time in the multipartitioned one)."""
+one rank's aligned blocks (a whole block in the block-grid and transpose
+executors, one tile at a time in the multipartitioned one)."""
 
 from __future__ import annotations
 

@@ -9,10 +9,11 @@ from repro.hpf.directives import Distribute, DistFormat, Processors, Template
 from repro.hpf.program import (
     HpfProgram,
     PointwiseStmt,
+    StencilStmt,
     SweepStmt,
     compile_program,
 )
-from repro.sweep.ops import PointwiseOp, SweepOp
+from repro.sweep.ops import PointwiseOp, SweepOp, star_laplacian
 from repro.sweep.sequential import run_sequential
 
 
@@ -83,6 +84,30 @@ class TestRun:
         ref = run_sequential(field, list(compiled.schedule))
         out, _ = compiled.run(field, machine)
         assert np.allclose(out, ref, atol=1e-12)
+
+    def test_block_grid_path(self, machine):
+        """Two BLOCK axes run on the resolved 2 x 2 processor grid."""
+        shape = (12, 10, 8)
+        formats = (DistFormat.BLOCK, DistFormat.BLOCK, DistFormat.STAR)
+        laplacian = star_laplacian(3)
+        prog = HpfProgram(
+            distribute=Distribute(
+                Template("t", shape), formats, Processors("procs", 4)
+            ),
+            statements=(
+                SweepStmt(axis=0, mult=0.5),
+                StencilStmt(fn=laplacian.fn, reach=laplacian.reach),
+                SweepStmt(axis=1, mult=0.25, reverse=True),
+                SweepStmt(axis=2, mult=0.75),
+            ),
+        )
+        compiled = compile_program(prog)
+        assert compiled.resolution.proc_grid == (2, 2, 1)
+        field = random_field(shape)
+        ref = run_sequential(field, list(compiled.schedule))
+        out, res = compiled.run(field, machine)
+        assert np.allclose(out, ref, rtol=0, atol=1e-12)
+        assert res.message_count > 0
 
     def test_star_axis_embedding_runs(self, machine):
         shape = (12, 12, 6)
